@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainTooSmallError
-from .grid import Field, Grid, interp_periodic
+from .grid import Field, Grid, interp_periodic, periodic_stencil
 
 __all__ = [
     "CharacteristicSet",
@@ -73,35 +73,6 @@ def init_characteristics(g: Grid, t: float = 0.0, stride: int = 4) -> Characteri
     return CharacteristicSet(float(t), labels, labels.copy(), labels.copy(), ones, ones.copy())
 
 
-def _rk4_flow(
-    g: Grid,
-    pos: np.ndarray,
-    log_jac: np.ndarray,
-    stages: list[tuple[np.ndarray, np.ndarray]],
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step of dx/dt = w(x), dlog(jac)/dt = w_x(x).
-
-    ``stages`` holds (w, w_x) node samples at the four RK4 stage states;
-    off-grid evaluation is periodic cubic interpolation.
-    """
-    (w1, wx1), (w2, wx2), (w3, wx3), (w4, wx4) = stages
-    k1 = interp_periodic(g, w1, pos)
-    j1 = interp_periodic(g, wx1, pos)
-    p2 = pos + 0.5 * dt * k1
-    k2 = interp_periodic(g, w2, p2)
-    j2 = interp_periodic(g, wx2, p2)
-    p3 = pos + 0.5 * dt * k2
-    k3 = interp_periodic(g, w3, p3)
-    j3 = interp_periodic(g, wx3, p3)
-    p4 = pos + dt * k3
-    k4 = interp_periodic(g, w4, p4)
-    j4 = interp_periodic(g, wx4, p4)
-    new_pos = pos + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new_log = log_jac + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
-    return new_pos, new_log
-
-
 def advance_with_stages(
     cs: CharacteristicSet,
     g: Grid,
@@ -112,25 +83,49 @@ def advance_with_stages(
 
     Called by the PDE stepper so positions and Jacobians see exactly the
     same intermediate states as the momenta (the extended system stays a
-    single fourth-order RK4 scheme).
+    single fourth-order RK4 scheme).  Positions and log-Jacobians of phi
+    and xi are advanced as one concatenated array: each stage evaluates
+    dx/dt = w(x), dlog(jac)/dt = w_x(x) -- w = v along phi, u along xi --
+    by one periodic cubic interpolation from the stacked table
+    (v, u, v_x, u_x), with cell indices and weights shared by w and w_x.
     """
-    phi, lphi = _rk4_flow(g, cs.phi, np.log(cs.phi_x),
-                          [(v, vx) for (_, _, v, vx) in velocity_stages], dt)
-    xi, lxi = _rk4_flow(g, cs.xi, np.log(cs.xi_x),
-                        [(u, ux) for (u, ux, _, _) in velocity_stages], dt)
-    for name, pos in (("phi", phi), ("xi", xi)):
+    count = cs.labels.size
+    nodes = g.n_points
+    # Each stage's table is (v, u, v_x, u_x), read flat: phi reads v, xi
+    # reads u, and w_x sits 2 * nodes further on than w.
+    offset = np.repeat(np.array([0, nodes]), count) + np.array([[0], [2 * nodes]])
+    pos = np.concatenate((cs.phi, cs.xi))
+
+    def rates(w: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+        """(dx/dt, dlog(jac)/dt) at the points x, shape (2, points)."""
+        u, ux, v, vx = w
+        table = np.concatenate((v, u, vx, ux))
+        cells, weights = periodic_stencil(g, x)
+        index = cells[:, None, :] + offset
+        return np.sum(weights[:, None, :] * table.take(index), axis=0)
+
+    w1, w2, w3, w4 = velocity_stages
+    k1 = rates(w1, pos)
+    k2 = rates(w2, pos + 0.5 * dt * k1[0])
+    k3 = rates(w3, pos + 0.5 * dt * k2[0])
+    k4 = rates(w4, pos + dt * k3[0])
+    log_jac = np.log(np.concatenate((cs.phi_x, cs.xi_x)))
+    new_pos, new_log = np.array((pos, log_jac)) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    phi, xi = new_pos[:count], new_pos[count:]
+    for name, flow in (("phi", phi), ("xi", xi)):
         # The leftmost label sits exactly at -L, so it crosses the window
         # edge under round-off-level velocity ripple; only a position more
         # than half a node beyond the edge counts as a genuine escape.
-        if float(np.max(np.abs(pos))) > g.half_length + 0.5 * g.spacing:
+        if float(np.max(np.abs(flow))) > g.half_length + 0.5 * g.spacing:
             raise DomainTooSmallError(
                 f"characteristic {name} left the window [-L, L), L = {g.half_length}"
             )
-        if np.any(np.diff(pos) <= 0):
+        if np.any(np.diff(flow) <= 0):
             raise FloatingPointError(
                 f"characteristic ordering of {name} collapsed (step too coarse)"
             )
-    return CharacteristicSet(cs.t + dt, cs.labels, phi, xi, np.exp(lphi), np.exp(lxi))
+    jac = np.exp(new_log)
+    return CharacteristicSet(cs.t + dt, cs.labels, phi, xi, jac[:count], jac[count:])
 
 
 def advect(cs: CharacteristicSet, u: Field, v: Field, dt: float) -> CharacteristicSet:

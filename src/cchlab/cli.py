@@ -7,7 +7,8 @@ Verbs:
     check <config>                       validate a config without running
 
 Exit codes: 0 = ok, 1 = configuration error, 2 = blow-up, 3 = measurement
-invalid (window too small / trajectory too short).  The environment
+invalid (window too small / trajectory too short), 4 = unstable (time step
+above the advective stability bound during the march).  The environment
 variable CCCH_THREADS caps sweep parallelism.
 """
 
@@ -19,7 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields as dataclass_fields, replace
 
-from .config import ScenarioConfig, parse_config, serialize_config
+from .config import ScenarioConfig, parse_config
 from .errors import ConfigurationError
 from .runner import execute, run_scenario
 

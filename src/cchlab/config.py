@@ -33,6 +33,8 @@ __all__ = [
     "serialize_config",
     "build_initial_condition",
     "build_grid",
+    "output_times",
+    "snapshot_time_list",
 ]
 
 KINDS = ("pde", "peakon", "complex", "characteristics")
@@ -225,7 +227,44 @@ def _validate(pairs: dict[str, object], key_lines: dict[str, int]) -> ScenarioCo
         _parse_float_list(pairs["snapshot_times"], "snapshot_times", key_lines)
 
     known = {f.name for f in dataclass_fields(ScenarioConfig)}
-    return ScenarioConfig(**{k: v for k, v in pairs.items() if k in known})
+    cfg = ScenarioConfig(**{k: v for k, v in pairs.items() if k in known})
+    _check_snapshot_times(cfg, key_lines)
+    return cfg
+
+
+# Distance within which a snapshot time names an output time.
+_SNAPSHOT_TOL = 1e-9
+
+
+def output_times(cfg: ScenarioConfig) -> list[float]:
+    """Times at which a field scenario records: 0, every output_every, and t_end."""
+    if cfg.t_end <= 0.0:
+        return [0.0]
+    times = list(np.arange(0.0, cfg.t_end + 1e-12, cfg.output_every))
+    if not times or abs(times[-1] - cfg.t_end) > 1e-12:
+        times.append(cfg.t_end)
+    return [float(t) for t in times]
+
+
+def _check_snapshot_times(cfg: ScenarioConfig, key_lines: dict[str, int]) -> list[float]:
+    requested = _parse_float_list(cfg.snapshot_times, "snapshot_times", key_lines)
+    if not requested:
+        return []
+    times = output_times(cfg)
+    for ts in requested:
+        if not any(abs(ts - t) <= _SNAPSHOT_TOL for t in times):
+            raise _fail_key(
+                "snapshot_times", key_lines,
+                f"entry {ts!r} is not an output time (0, multiples of "
+                f"output_every = {cfg.output_every!r} and t_end = {cfg.t_end!r})")
+    return requested
+
+
+def snapshot_time_list(cfg: ScenarioConfig) -> list[float]:
+    """The config's snapshot times; ConfigurationError names any entry that
+    is not one of ``output_times(cfg)``, since no field block would be
+    written for it."""
+    return _check_snapshot_times(cfg, {})
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: configuration problems exit 1,
-blow-up exits 2, and invalid-measurement conditions (domain too small,
-trajectory too short) exit 3.
+blow-up exits 2, invalid-measurement conditions (domain too small,
+trajectory too short) exit 3, and a time step found to exceed the
+advective stability bound during a run exits 4.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ class ConfigurationError(ValueError):
 
 
 class StabilityError(ConfigurationError):
-    """Requested time step violates the advective stability bound."""
+    """Requested time step violates the advective stability bound.
+
+    A subclass of ConfigurationError because the remedy is a smaller dt;
+    raised during a run's march, it ends the run with status 4 after the
+    snapshots completed so far are written.
+    """
 
 
 class BlowUpError(RuntimeError):

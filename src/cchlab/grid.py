@@ -3,7 +3,9 @@
 The spatial domain is a periodic window [-L, L) sampled at a power-of-two
 number of equispaced nodes.  Differentiation and the inversion of the
 Helmholtz operator 1 - d^2/dx^2 act mode-by-mode in the discrete Fourier
-basis.  The same inverse has a closed-form real-space kernel -- the
+basis: real data on the half spectrum (rfft/irfft), complex data on the full
+spectrum (fft/ifft), each with operator tables precomputed once per grid.
+The same inverse has a closed-form real-space kernel -- the
 periodization of 0.5*exp(-|x|) --
 
     p_L(x) = cosh(L - |x|) / (2 sinh L),
@@ -15,6 +17,8 @@ cross-validate the spectral path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from .errors import ConfigurationError
 
 __all__ = [
     "Grid",
+    "Spectrum",
     "Field",
     "make_grid",
     "spectral_derivative",
@@ -29,6 +34,7 @@ __all__ = [
     "green_kernel_eval",
     "convolve_green_quadrature",
     "decompose_I1_I2",
+    "periodic_stencil",
     "interp_periodic",
 ]
 
@@ -38,22 +44,53 @@ def _is_power_of_two(n: int) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
+class Spectrum:
+    """One transform pair with its mode-wise operator tables.
+
+    ``forward``/``inverse`` act along the last axis.  The tables are sampled
+    on the pair's modes: ``ik`` (d/dx), ``symbol`` (1 + k^2), ``keep`` (the
+    two-thirds-rule mask |mode| <= N//3, as 0.0/1.0) and ``stage_ops``, the
+    four dealiased factors a solver stage applies to each momentum spectrum
+    to obtain (u, u_x, m, m_x): keep/(1+k^2), keep*ik/(1+k^2), keep, keep*ik.
+    """
+
+    forward: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[np.ndarray], np.ndarray]
+    ik: np.ndarray
+    symbol: np.ndarray
+    keep: np.ndarray
+    stage_ops: np.ndarray
+
+
+def _spectrum(forward, inverse, k: np.ndarray, mode_index: np.ndarray, n: int) -> Spectrum:
+    ik = 1j * k
+    symbol = 1.0 + k * k
+    keep = (np.abs(mode_index) <= n // 3).astype(np.float64)
+    stage_ops = np.stack([keep / symbol, keep * ik / symbol, keep, keep * ik])
+    tables = (ik, symbol, keep, stage_ops)
+    for table in tables:
+        table.setflags(write=False)
+    return Spectrum(forward, inverse, *tables)
+
+
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Equispaced periodic grid on the window [-half_length, half_length).
 
-    Derived spectral machinery (wavenumbers, the symbol 1 + k^2 of the
-    Helmholtz operator, and the two-thirds-rule dealiasing mask) is
-    precomputed once; grids compare equal iff they have the same window
-    and resolution.
+    Derived spectral machinery is precomputed once: the transform tables
+    of the half spectrum (``real_spectrum``) and of the full spectrum
+    (``complex_spectrum``), and the two-thirds-rule dealiasing mask on the
+    full spectrum (``dealias_keep``); grids compare equal iff they have the
+    same window and resolution.
     """
 
     half_length: float
     n_points: int
     spacing: float = field(init=False)
     nodes: np.ndarray = field(init=False, repr=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False)
-    helmholtz_symbol: np.ndarray = field(init=False, repr=False)
     dealias_keep: np.ndarray = field(init=False, repr=False)
+    real_spectrum: Spectrum = field(init=False, repr=False)
+    complex_spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n_points
@@ -77,13 +114,15 @@ class Grid:
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "wavenumbers", k)
-        object.__setattr__(self, "helmholtz_symbol", 1.0 + k * k)
         object.__setattr__(self, "dealias_keep", np.abs(mode_index) <= n // 3)
         self.nodes.setflags(write=False)
-        self.wavenumbers.setflags(write=False)
-        self.helmholtz_symbol.setflags(write=False)
         self.dealias_keep.setflags(write=False)
+        half_modes = np.arange(n // 2 + 1)
+        object.__setattr__(self, "real_spectrum", _spectrum(
+            np.fft.rfft, partial(np.fft.irfft, n=n),
+            2.0 * np.pi * np.fft.rfftfreq(n, d=spacing), half_modes, n))
+        object.__setattr__(self, "complex_spectrum", _spectrum(
+            np.fft.fft, np.fft.ifft, k, mode_index, n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -95,23 +134,28 @@ class Grid:
     def __hash__(self) -> int:
         return hash((self.half_length, self.n_points))
 
-    # Array-level spectral operations; Field-level wrappers live below.
+    # Array-level spectral operations along the last axis; Field-level
+    # wrappers live below.
 
-    def _phys(self, spectrum: np.ndarray, like: np.ndarray) -> np.ndarray:
-        out = np.fft.ifft(spectrum)
-        return out.real if np.isrealobj(like) else out
+    def spectrum_for(self, values: np.ndarray) -> Spectrum:
+        """Half-spectrum tables for real data, full-spectrum for complex."""
+        return self.complex_spectrum if np.iscomplexobj(values) else self.real_spectrum
 
     def deriv(self, values: np.ndarray) -> np.ndarray:
-        return self._phys(1j * self.wavenumbers * np.fft.fft(values), values)
+        sp = self.spectrum_for(values)
+        return sp.inverse(sp.ik * sp.forward(values))
 
     def inv_helmholtz(self, values: np.ndarray) -> np.ndarray:
-        return self._phys(np.fft.fft(values) / self.helmholtz_symbol, values)
+        sp = self.spectrum_for(values)
+        return sp.inverse(sp.forward(values) / sp.symbol)
 
     def fwd_helmholtz(self, values: np.ndarray) -> np.ndarray:
-        return self._phys(np.fft.fft(values) * self.helmholtz_symbol, values)
+        sp = self.spectrum_for(values)
+        return sp.inverse(sp.forward(values) * sp.symbol)
 
     def dealias(self, values: np.ndarray) -> np.ndarray:
-        return self._phys(np.where(self.dealias_keep, np.fft.fft(values), 0.0), values)
+        sp = self.spectrum_for(values)
+        return sp.inverse(sp.forward(values) * sp.keep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +279,28 @@ def decompose_I1_I2(m: Field, x_index: int) -> tuple[float, float]:
     return i1, i2
 
 
+def periodic_stencil(g: Grid, x) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices and weights of periodic four-point cubic Lagrange
+    interpolation at the points x.
+
+    Both arrays have shape (4,) + x.shape: the nodes i-1, i, i+1, i+2
+    around the cell i containing each point (wrapped into the window), and
+    their Lagrange weights, so that sum(weights * values[cells], 0)
+    interpolates ``values``.
+    """
+    s = (np.asarray(x, dtype=np.float64) + g.half_length) / g.spacing
+    i0 = np.floor(s)
+    t = s - i0
+    offsets = np.arange(-1, 3).reshape((4,) + (1,) * i0.ndim)
+    # n_points is a power of two, so the mask wraps negative indices too.
+    cells = (i0.astype(np.intp) + offsets) & (g.n_points - 1)
+    tm1, t1, t2 = t + 1.0, t - 1.0, t - 2.0
+    a, b = t * t1, tm1 * t2
+    weights = np.array((a * t2 * (-1.0 / 6.0), b * t1 * 0.5,
+                        b * t * (-0.5), a * tm1 * (1.0 / 6.0)))
+    return cells, weights
+
+
 def interp_periodic(g: Grid, values: np.ndarray, x):
     """Evaluate node samples at arbitrary points by periodic cubic Lagrange.
 
@@ -242,16 +308,8 @@ def interp_periodic(g: Grid, values: np.ndarray, x):
     cubic polynomials of the local node index, O(h^4) on smooth data.
     Points are wrapped into the window, so any real x is valid.
     """
-    s = (np.asarray(x, dtype=np.float64) + g.half_length) / g.spacing
-    i0 = np.floor(s).astype(int)
-    t = s - i0
-    n = g.n_points
-    jm1, j0, j1, j2 = (i0 - 1) % n, i0 % n, (i0 + 1) % n, (i0 + 2) % n
-    wm1 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w0 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-    w1 = -(t + 1.0) * t * (t - 2.0) / 2.0
-    w2 = (t + 1.0) * t * (t - 1.0) / 6.0
-    out = wm1 * values[jm1] + w0 * values[j0] + w1 * values[j1] + w2 * values[j2]
+    cells, weights = periodic_stencil(g, x)
+    out = np.sum(weights * np.take(values, cells), axis=0)
     if np.isscalar(x):
         return complex(out) if np.iscomplexobj(values) else float(out)
     return out

@@ -2,7 +2,9 @@
 
 Exit statuses: 0 = completed, 1 = configuration error, 2 = blow-up
 (partial output is still written), 3 = measurement invalid (window too
-small for trustworthy exponentially weighted diagnostics).
+small for trustworthy exponentially weighted diagnostics), 4 = unstable
+(the time step exceeded the advective stability bound during the march;
+partial output is still written).
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from . import diagnostics as diag
 from . import peakons as pk
 from . import solver
 from .config import (ScenarioConfig, build_grid, build_initial_condition,
-                     parse_float_list)
+                     output_times, parse_float_list, snapshot_time_list)
 from .errors import (BlowUpError, ConfigurationError, DomainTooSmallError,
-                     MeasurementError)
+                     MeasurementError, StabilityError)
 from .grid import Field
 
 __all__ = ["run_scenario", "execute", "RunResult"]
@@ -100,15 +102,6 @@ def _write_field_snapshots(path: str, snaps: list[tuple[float, solver.PdeState]]
                 writer.writerow([_fmt(t), _fmt(x)] + [_fmt(c[j]) for c in cols])
 
 
-def _output_times(cfg: ScenarioConfig) -> list[float]:
-    if cfg.t_end <= 0.0:
-        return [0.0]
-    times = list(np.arange(0.0, cfg.t_end + 1e-12, cfg.output_every))
-    if not times or abs(times[-1] - cfg.t_end) > 1e-12:
-        times.append(cfg.t_end)
-    return [float(t) for t in times]
-
-
 def _drift(values: list[float]) -> float:
     ref = max(abs(values[0]), 1e-14)
     return max(abs(v - values[0]) for v in values) / ref
@@ -123,7 +116,7 @@ def _run_field_scenario(cfg: ScenarioConfig) -> RunResult:
     track = (chars.init_characteristics(g, stride=cfg.label_stride)
              if cfg.kind == "characteristics" else None)
     with_pullback = track is not None
-    snapshot_times = set(parse_float_list(cfg.snapshot_times))
+    snapshot_times = snapshot_time_list(cfg)
 
     records: list[diag.DiagnosticsRecord] = []
     field_snaps: list[tuple[float, solver.PdeState]] = []
@@ -136,7 +129,7 @@ def _run_field_scenario(cfg: ScenarioConfig) -> RunResult:
             field_snaps.append((state.t, state))
 
     try:
-        solver.evolve(state0, cfg.t_end, cfg.dt, _output_times(cfg),
+        solver.evolve(state0, cfg.t_end, cfg.dt, output_times(cfg),
                       track=track, callback=on_snapshot,
                       blowup_factor=cfg.blowup_threshold)
     except BlowUpError as err:
@@ -145,6 +138,9 @@ def _run_field_scenario(cfg: ScenarioConfig) -> RunResult:
     except DomainTooSmallError as err:
         status = 3
         summary.append(f"MEASUREMENT INVALID: {err}")
+    except StabilityError as err:
+        status = 4
+        summary.append(f"UNSTABLE: {err}")
 
     _write_records_csv(cfg.out, records, with_pullback)
     _write_field_snapshots(_fields_path(cfg.out), field_snaps)

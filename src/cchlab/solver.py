@@ -12,6 +12,17 @@ classical single-equation (Camassa-Holm) case, and setting n = conj(m)
 gives the self-conjugate complex reduction.  Quadratic products are
 dealiased by the two-thirds rule before and after multiplication.
 
+The state is marched in spectral space: the evolved momenta are held as
+Fourier coefficients, on the half spectrum (rfft) for real runs and the full
+spectrum (fft) for complex runs.  The reductions are built into that state
+rather than imposed afterwards: ch_reduction evolves m alone with v = u and
+n = m, complex_conjugate evolves m alone with v = conj(u) and n = conj(m), so
+both constraints hold exactly at every step.  A right-hand-side stage makes
+one batched inverse transform that builds (u, u_x, m, m_x) -- and
+(v, v_x, n, n_x) for a coupled pair -- from the operator tables the Grid
+precomputes, forms the products in physical space, and returns through one
+batched forward transform.
+
 Time stepping is classical fixed-step RK4 with an advective stability
 guard and a loud blow-up guard; optional characteristic sets are advanced
 inside the same RK4 stages so the extended system retains fourth order.
@@ -27,7 +38,7 @@ import numpy as np
 
 from .characteristics import CharacteristicSet, advance_with_stages
 from .errors import BlowUpError, ConfigurationError, StabilityError
-from .grid import Field, Grid
+from .grid import Field, Grid, Spectrum
 
 __all__ = [
     "COUPLED",
@@ -49,7 +60,8 @@ CH_REDUCTION = "ch_reduction"
 COMPLEX_CONJUGATE = "complex_conjugate"
 MODES = (COUPLED, CH_REDUCTION, COMPLEX_CONJUGATE)
 
-# Tolerance for the mode-constraint invariants (m == n, n == conj m).
+# Tolerance with which PdeState accepts data on a reduction manifold
+# (m == n, n == conj m); the march then keeps the constraint exactly.
 _MODE_TOL = 1e-12
 
 
@@ -98,66 +110,73 @@ class Trajectory:
         return [s.t for s in self.states]
 
 
+# Stage velocities (u, u_x, v, v_x) in physical space.
+_Velocities = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
-class _Stage:
-    dm: np.ndarray
-    dn: np.ndarray
-    u: np.ndarray
-    ux: np.ndarray
-    v: np.ndarray
-    vx: np.ndarray
+class _Core:
+    """How a state is held in spectral space: transform tables and rows.
 
-
-def _stage_arrays(g: Grid, m: np.ndarray, n: np.ndarray) -> _Stage:
-    """One right-hand-side evaluation, keeping the stage velocities.
-
-    Works in complex arithmetic throughout; real states take real parts at
-    the end of a step.  Factors entering products and the products
-    themselves are projected onto the lower two-thirds of the spectrum.
+    A coupled state has the rows (m, n); the reductions evolve m alone and
+    derive n = m (ch_reduction) or n = conj(m) (complex_conjugate).
     """
-    keep = g.dealias_keep
-    ik = 1j * g.wavenumbers
-    sym = g.helmholtz_symbol
 
-    def phys(spec: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.where(keep, spec, 0.0))
+    grid: Grid
+    sp: Spectrum
+    mode: str
 
-    mh = np.fft.fft(m)
-    nh = np.fft.fft(n)
-    u, ux = phys(mh / sym), phys(ik * mh / sym)
-    mf, mx = phys(mh), phys(ik * mh)
-    v, vx = phys(nh / sym), phys(ik * nh / sym)
-    nf, nx = phys(nh), phys(ik * nh)
-    dm = phys(np.fft.fft(-(2.0 * vx * mf + v * mx)))
-    dn = phys(np.fft.fft(-(2.0 * ux * nf + u * nx)))
-    return _Stage(dm, dn, u, ux, v, vx)
+    @classmethod
+    def of(cls, state: PdeState) -> "_Core":
+        g = state.grid
+        complex_data = state.m.is_complex or state.n.is_complex
+        return cls(g, g.complex_spectrum if complex_data else g.real_spectrum, state.mode)
 
+    def rows(self, state: PdeState) -> np.ndarray:
+        """Physical samples of the evolved rows, shape (rows, nodes)."""
+        if self.mode == COUPLED:
+            return np.stack((state.m.values, state.n.values))
+        return state.m.values[None]
 
-def _reimpose_mode(mode: str, m: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project a stepped pair back onto the exact reduction manifold."""
-    if mode == CH_REDUCTION:
-        avg = 0.5 * (m + n)
-        return avg, avg.copy()
-    if mode == COMPLEX_CONJUGATE:
-        sym = 0.5 * (m + np.conj(n))
-        return sym, np.conj(sym)
-    return m, n
+    def spectral(self, state: PdeState) -> np.ndarray:
+        """Fourier coefficients of the evolved rows, shape (rows, modes)."""
+        return self.sp.forward(self.rows(state))
 
+    def pair(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Physical (m, n) from physical rows."""
+        if self.mode == COUPLED:
+            return rows[0], rows[1]
+        return rows[0], (rows[0] if self.mode == CH_REDUCTION else np.conj(rows[0]))
 
-def _step_core(
-    g: Grid, m: np.ndarray, n: np.ndarray, dt: float, first: Optional[_Stage] = None
-) -> tuple[np.ndarray, np.ndarray, tuple[_Stage, _Stage, _Stage, _Stage]]:
-    s1 = first if first is not None else _stage_arrays(g, m, n)
-    s2 = _stage_arrays(g, m + 0.5 * dt * s1.dm, n + 0.5 * dt * s1.dn)
-    s3 = _stage_arrays(g, m + 0.5 * dt * s2.dm, n + 0.5 * dt * s2.dn)
-    s4 = _stage_arrays(g, m + dt * s3.dm, n + dt * s3.dn)
-    m2 = m + (dt / 6.0) * (s1.dm + 2.0 * s2.dm + 2.0 * s3.dm + s4.dm)
-    n2 = n + (dt / 6.0) * (s1.dn + 2.0 * s2.dn + 2.0 * s3.dn + s4.dn)
-    return m2, n2, (s1, s2, s3, s4)
+    def state(self, rows: np.ndarray, t: float) -> PdeState:
+        m, n = self.pair(rows)
+        return PdeState(t, Field(self.grid, m), Field(self.grid, n), self.mode)
 
 
-def _check_stability(g: Grid, dt: float, s1: _Stage) -> None:
-    speed = max(float(np.max(np.abs(s1.u))), float(np.max(np.abs(s1.v))), 1e-14)
+def _stage(core: _Core, spec: np.ndarray) -> tuple[np.ndarray, _Velocities]:
+    """One right-hand-side evaluation on a spectral state.
+
+    One batched inverse transform builds (u, u_x, m, m_x) for every row,
+    every factor projected onto the lower two thirds of the spectrum; the
+    products return through one batched forward transform, projected the
+    same way.  Returns the rate spectrum and the stage velocities.
+    """
+    sp = core.sp
+    rows = spec.shape[0]
+    phys = sp.inverse((spec[:, None, :] * sp.stage_ops).reshape(4 * rows, -1))
+    u, ux, m, mx = phys[:4]
+    if core.mode == COUPLED:
+        v, vx, n, nx = phys[4:]
+        rates = np.stack((-2.0 * vx * m - v * mx, -2.0 * ux * n - u * nx))
+    else:
+        v, vx = (u, ux) if core.mode == CH_REDUCTION else (np.conj(u), np.conj(ux))
+        rates = (-2.0 * vx * m - v * mx)[None]
+    return sp.forward(rates) * sp.keep, (u, ux, v, vx)
+
+
+def _check_stability(g: Grid, dt: float, w: _Velocities) -> None:
+    u, _, v, _ = w
+    speed = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-14)
     bound = 0.5 * g.spacing / speed
     if abs(dt) > bound:
         raise StabilityError(
@@ -170,19 +189,29 @@ def _default_threshold(m: np.ndarray, n: np.ndarray, factor: float = 1e6) -> flo
     return factor * max(1.0, float(np.max(np.abs(m))), float(np.max(np.abs(n))))
 
 
-def _finish_step(state: PdeState, m2: np.ndarray, n2: np.ndarray, t_new: float,
-                 threshold: float) -> PdeState:
-    peak = max(float(np.max(np.abs(m2))), float(np.max(np.abs(n2))))
+def _step(core: _Core, spec: np.ndarray, dt: float, threshold: float,
+          t_new: float) -> tuple[np.ndarray, np.ndarray, list[_Velocities]]:
+    """One guarded RK4 step of a spectral state.
+
+    Returns the stepped spectrum, its physical rows and the four stage
+    velocities.  Raises StabilityError before stepping when dt exceeds the
+    advective bound, and BlowUpError (without a state) when the stepped
+    momenta exceed ``threshold``.
+    """
+    r1, w1 = _stage(core, spec)
+    _check_stability(core.grid, dt, w1)
+    r2, w2 = _stage(core, spec + 0.5 * dt * r1)
+    r3, w3 = _stage(core, spec + 0.5 * dt * r2)
+    r4, w4 = _stage(core, spec + dt * r3)
+    spec = spec + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    rows = core.sp.inverse(spec)
+    peak = float(np.max(np.abs(rows)))
     if not np.isfinite(peak) or peak > threshold:
         raise BlowUpError(
             f"momentum magnitude {peak:.3e} exceeded the blow-up threshold "
-            f"{threshold:.3e} at t = {t_new:.6g}",
-            state=state,
+            f"{threshold:.3e} at t = {t_new:.6g}"
         )
-    m2, n2 = _reimpose_mode(state.mode, m2, n2)
-    if not state.m.is_complex:
-        m2, n2 = m2.real, n2.real
-    return PdeState(t_new, Field(state.grid, m2), Field(state.grid, n2), state.mode)
+    return spec, rows, [w1, w2, w3, w4]
 
 
 def step_rk4(state: PdeState, dt: float, *, blowup_threshold: Optional[float] = None) -> PdeState:
@@ -195,14 +224,14 @@ def step_rk4(state: PdeState, dt: float, *, blowup_threshold: Optional[float] = 
     """
     if dt == 0.0 or not np.isfinite(dt):
         raise ConfigurationError(f"dt must be finite and nonzero, got {dt!r}")
-    g = state.grid
-    m = state.m.values.astype(np.complex128)
-    n = state.n.values.astype(np.complex128)
-    s1 = _stage_arrays(g, m, n)
-    _check_stability(g, dt, s1)
-    threshold = blowup_threshold if blowup_threshold is not None else _default_threshold(m, n)
-    m2, n2, _ = _step_core(g, m, n, dt, first=s1)
-    return _finish_step(state, m2, n2, state.t + dt, threshold)
+    core = _Core.of(state)
+    threshold = (blowup_threshold if blowup_threshold is not None
+                 else _default_threshold(state.m.values, state.n.values))
+    try:
+        _, rows, _ = _step(core, core.spectral(state), dt, threshold, state.t + dt)
+    except BlowUpError as err:
+        raise BlowUpError(str(err), state=state) from None
+    return core.state(rows, state.t + dt)
 
 
 def recover_velocity(state: PdeState) -> tuple[Field, Field]:
@@ -217,11 +246,10 @@ def recover_velocity(state: PdeState) -> tuple[Field, Field]:
 def rhs_momentum(state: PdeState) -> tuple[Field, Field]:
     """Instantaneous (dm/dt, dn/dt) = (-2 v_x m - v m_x, -2 u_x n - u n_x)."""
     g = state.grid
-    s = _stage_arrays(g, state.m.values.astype(np.complex128),
-                      state.n.values.astype(np.complex128))
-    if state.m.is_complex:
-        return Field(g, s.dm), Field(g, s.dn)
-    return Field(g, s.dm.real), Field(g, s.dn.real)
+    core = _Core.of(state)
+    rate, _ = _stage(core, core.spectral(state))
+    dm, dn = core.pair(core.sp.inverse(rate))
+    return Field(g, dm), Field(g, dn)
 
 
 def rhs_complex_real_form(mu_re: Field, mu_im: Field) -> tuple[Field, Field]:
@@ -238,9 +266,17 @@ def rhs_complex_real_form(mu_re: Field, mu_im: Field) -> tuple[Field, Field]:
     if mu_re.grid != mu_im.grid:
         raise ValueError("the pair must live on the same grid")
     g = mu_re.grid
-    m = mu_re.values + 1j * mu_im.values
-    s = _stage_arrays(g, m, np.conj(m))
-    return Field(g, s.dm.real), Field(g, s.dm.imag)
+    dm = _conjugate_pair_rate(g, mu_re.values + 1j * mu_im.values)
+    return Field(g, dm.real), Field(g, dm.imag)
+
+
+def _conjugate_pair_rate(g: Grid, m: np.ndarray) -> np.ndarray:
+    """dm/dt of the pair (m, conj m) through the generic coupled complex
+    stage: both rows are transformed and both products formed, so nothing
+    of the reduced complex_conjugate path is shared."""
+    core = _Core(g, g.complex_spectrum, COUPLED)
+    rate, _ = _stage(core, core.sp.forward(np.stack((m, np.conj(m)))))
+    return core.sp.inverse(rate[0])
 
 
 def _normalize_output_times(t0: float, t_end: float, output_times) -> list[float]:
@@ -295,7 +331,7 @@ def evolve(
     snapshots: list[PdeState] = []
     cs_snaps: Optional[list[CharacteristicSet]] = [] if track is not None else None
     cs = track
-    current = state
+    core = _Core.of(state)
 
     def emit(s: PdeState) -> None:
         snapshots.append(s)
@@ -304,56 +340,37 @@ def evolve(
         if callback is not None:
             callback(s, cs)
 
+    rows = core.rows(state)
+    spec = core.sp.forward(rows)
+    t_rows = state.t
     try:
-        t_cursor = state.t
         next_idx = 0
         if abs(times[0] - state.t) <= 1e-12:
-            emit(current)
+            emit(state)
             next_idx = 1
         for target in times[next_idx:]:
-            span = target - t_cursor
+            span = target - t_rows
             n_sub = max(1, ceil(span / dt - 1e-9))
             dt_eff = span / n_sub
-            m = current.m.values.astype(np.complex128)
-            n_arr = current.n.values.astype(np.complex128)
-            for k in range(n_sub):
-                s1 = _stage_arrays(g, m, n_arr)
-                _check_stability(g, dt_eff, s1)
-                m2, n2, stages = _step_core(g, m, n_arr, dt_eff, first=s1)
-                peak = max(float(np.max(np.abs(m2))), float(np.max(np.abs(n2))))
-                if not np.isfinite(peak) or peak > threshold:
-                    last = _materialize(current, m, n_arr, t_cursor + k * dt_eff)
-                    raise BlowUpError(
-                        f"momentum magnitude {peak:.3e} exceeded the blow-up "
-                        f"threshold {threshold:.3e} at t = {t_cursor + (k + 1) * dt_eff:.6g}",
-                        state=last,
-                    )
+            t_start = t_rows
+            for k in range(1, n_sub + 1):
+                spec, rows, stages = _step(core, spec, dt_eff, threshold,
+                                           t_start + k * dt_eff)
+                t_rows = t_start + k * dt_eff
                 if cs is not None:
                     cs = advance_with_stages(
-                        cs, g,
-                        [(st.u.real, st.ux.real, st.v.real, st.vx.real) for st in stages],
-                        dt_eff,
-                    )
-                m2, n2 = _reimpose_mode(current.mode, m2, n2)
-                m, n_arr = m2, n2
-            current = _materialize(current, m, n_arr, target)
+                        cs, g, [tuple(w.real for w in ws) for ws in stages], dt_eff)
+            t_rows = target
             if cs is not None:
                 cs = cs.at_time(target)
-            t_cursor = target
-            emit(current)
+            emit(core.state(rows, target))
     except BlowUpError as err:
         raise BlowUpError(
             str(err),
-            state=err.state,
+            state=core.state(rows, t_rows),
             trajectory=Trajectory(snapshots, cs_snaps),
         ) from None
     return Trajectory(snapshots, cs_snaps)
-
-
-def _materialize(template: PdeState, m: np.ndarray, n: np.ndarray, t: float) -> PdeState:
-    if not template.m.is_complex:
-        m, n = m.real, n.real
-    return PdeState(t, Field(template.grid, m), Field(template.grid, n), template.mode)
 
 
 def evolve_real_form(
@@ -377,9 +394,8 @@ def evolve_real_form(
     times = _normalize_output_times(0.0, t_end, output_times)
 
     def rhs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = _stage_arrays(g, (a + 1j * b).astype(np.complex128),
-                          np.conj(a + 1j * b).astype(np.complex128))
-        return s.dm.real, s.dm.imag
+        dm = _conjugate_pair_rate(g, a + 1j * b)
+        return dm.real, dm.imag
 
     out: list[tuple[float, Field, Field]] = []
     a, b = mu_re.values.copy(), mu_im.values.copy()

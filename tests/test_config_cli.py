@@ -109,6 +109,8 @@ def test_compact_one_line_form():
     ("kind = pde\nm0 = bump(0, 3, 1) bump(1, 3, 1)\n", "between shapes"),
     ("kind = pde\nm0 =\n", "empty shape expression"),
     ("kind = pde\nm0 = 1 + bump(0, 3, 1)\n", "malformed shape expression"),
+    ("kind = pde\nm0 = bump(0, 3, 1)\nsnapshot_times = 0.05\n",
+     "entry 0.05 is not an output time"),
 ])
 def test_rejections_name_the_key_and_line(text, fragment):
     with pytest.raises(ConfigurationError) as info:
@@ -332,6 +334,20 @@ def test_blowup_exits_2_with_partial_output(tmp_path, capsys):
     assert len(rows) == 1  # the pre-blow-up trajectory is still written
 
 
+def test_instability_exits_4_with_partial_output(tmp_path, capsys):
+    path = write_cfg(tmp_path, (
+        "kind = pde\nn_points = 512\ndt = 0.05\n"
+        "m0 = bump(-2, 3, 50)\nn0 = bump(2, 3, 50)\nout = unstable.csv\n"
+    ))
+    assert main(["run", path]) == 4
+    out = capsys.readouterr().out
+    assert "UNSTABLE: time step 0.05 exceeds the advective stability bound" in out
+    assert "CONFIG ERROR" not in out
+    header, rows = read_rows(tmp_path / "unstable.csv")
+    assert header == list(CSV_COLUMNS)
+    assert len(rows) == 1 and float(rows[0][0]) == 0.0  # the t = 0 record
+
+
 def test_uncontained_tails_exit_3(tmp_path, capsys):
     path = write_cfg(tmp_path, (
         "kind = pde\nm0 = gaussian(0, 10, 1)\nt_end = 0\nout = g.csv\n"
@@ -346,6 +362,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "missing.cfg")]) == 1
     assert main(["check", str(tmp_path / "missing.cfg")]) == 1
+    off_grid = write_cfg(tmp_path, PDE_TEXT + "snapshot_times = 0.5, 0.05\n")
+    assert main(["check", off_grid]) == 1
+    assert "entry 0.05 is not an output time" in capsys.readouterr().err
 
 
 def test_console_script_is_installed(tmp_path):

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from cchlab.errors import BlowUpError, ConfigurationError, StabilityError
 from cchlab.grid import Field, make_grid
-from cchlab.solver import (CH_REDUCTION, COMPLEX_CONJUGATE, PdeState, evolve,
-                           evolve_real_form, recover_velocity,
+from cchlab.solver import (CH_REDUCTION, COMPLEX_CONJUGATE, COUPLED, PdeState,
+                           evolve, evolve_real_form, recover_velocity,
                            rhs_complex_real_form, rhs_momentum, step_rk4)
 
 from conftest import bump_values
@@ -115,6 +119,52 @@ def test_conjugate_pair_projection_is_exact():
     traj = evolve(st, 0.05, 1e-3, output_times=[0.05])
     final = traj.states[-1]
     assert np.max(np.abs(final.n.values - np.conj(final.m.values))) == 0.0
+
+
+def _final_m(state, t_end=0.1):
+    return evolve(state, t_end, 1e-3, output_times=[t_end]).states[-1].m.values
+
+
+def test_real_march_matches_the_same_data_held_complex(small_state):
+    # The half-spectrum (rfft) path of real data and the full-spectrum (fft)
+    # path of the same data stored as complex128 are one scheme.
+    g = small_state.grid
+    as_complex = PdeState(0.0, Field(g, small_state.m.values.astype(np.complex128)),
+                          Field(g, small_state.n.values.astype(np.complex128)))
+    real_m = _final_m(small_state)
+    complex_m = _final_m(as_complex)
+    assert np.max(np.abs(complex_m - real_m)) <= 1e-13 * np.max(np.abs(real_m))
+
+
+@pytest.mark.parametrize("mode", [CH_REDUCTION, COMPLEX_CONJUGATE])
+def test_reduced_marches_match_the_coupled_march(mode):
+    # A reduction evolves m alone and derives n; marching the same pair as
+    # a coupled state, with both rows, must give the same m.
+    g = make_grid(20.0, 256)
+    if mode == CH_REDUCTION:
+        mv = bump_values(g.nodes, 0.0, 3.0, 1.0)
+        nv = mv.copy()
+    else:
+        mv = g.fwd_helmholtz(bump_values(g.nodes, -1.0, 4.0, 0.2)
+                             + 1j * bump_values(g.nodes, 1.0, 4.0, 0.1))
+        nv = np.conj(mv)
+    reduced = _final_m(PdeState(0.0, Field(g, mv), Field(g, nv), mode))
+    coupled = _final_m(PdeState(0.0, Field(g, mv), Field(g, nv), COUPLED))
+    assert np.max(np.abs(reduced - coupled)) <= 1e-12 * np.max(np.abs(coupled))
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    # The package depends on NumPy alone; SciPy is a test-only oracle.
+    import cchlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cchlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, cchlab; print('scipy' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                           capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
 
 
 def test_rhs_is_dealiased(small_state):
