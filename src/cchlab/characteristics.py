@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DomainTooSmallError
 from .grid import Field, Grid, interp_periodic, periodic_stencil
+from .march import rk4_step
 
 __all__ = [
     "CharacteristicSet",
@@ -83,34 +84,31 @@ def advance_with_stages(
 
     Called by the PDE stepper so positions and Jacobians see exactly the
     same intermediate states as the momenta (the extended system stays a
-    single fourth-order RK4 scheme).  Positions and log-Jacobians of phi
-    and xi are advanced as one concatenated array: each stage evaluates
+    single fourth-order RK4 scheme).  The array (positions; log-Jacobians)
+    of phi and xi takes one ``march.rk4_step``, whose i-th rate evaluates
     dx/dt = w(x), dlog(jac)/dt = w_x(x) -- w = v along phi, u along xi --
     by one periodic cubic interpolation from the stacked table
-    (v, u, v_x, u_x), with cell indices and weights shared by w and w_x.
+    (v, u, v_x, u_x) of stage i, with cell indices and weights shared by w
+    and w_x.
     """
     count = cs.labels.size
     nodes = g.n_points
     # Each stage's table is (v, u, v_x, u_x), read flat: phi reads v, xi
     # reads u, and w_x sits 2 * nodes further on than w.
     offset = np.repeat(np.array([0, nodes]), count) + np.array([[0], [2 * nodes]])
-    pos = np.concatenate((cs.phi, cs.xi))
+    stages = iter(velocity_stages)
 
-    def rates(w: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-        """(dx/dt, dlog(jac)/dt) at the points x, shape (2, points)."""
-        u, ux, v, vx = w
+    def rates(y: np.ndarray) -> np.ndarray:
+        """(dx/dt, dlog(jac)/dt) at the positions y[0], shape (2, points)."""
+        u, ux, v, vx = next(stages)
         table = np.concatenate((v, u, vx, ux))
-        cells, weights = periodic_stencil(g, x)
+        cells, weights = periodic_stencil(g, y[0])
         index = cells[:, None, :] + offset
         return np.sum(weights[:, None, :] * table.take(index), axis=0)
 
-    w1, w2, w3, w4 = velocity_stages
-    k1 = rates(w1, pos)
-    k2 = rates(w2, pos + 0.5 * dt * k1[0])
-    k3 = rates(w3, pos + 0.5 * dt * k2[0])
-    k4 = rates(w4, pos + dt * k3[0])
-    log_jac = np.log(np.concatenate((cs.phi_x, cs.xi_x)))
-    new_pos, new_log = np.array((pos, log_jac)) + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    y = np.array((np.concatenate((cs.phi, cs.xi)),
+                  np.log(np.concatenate((cs.phi_x, cs.xi_x)))))
+    new_pos, new_log = rk4_step(rates, y, dt)
     phi, xi = new_pos[:count], new_pos[count:]
     for name, flow in (("phi", phi), ("xi", xi)):
         # The leftmost label sits exactly at -L, so it crosses the window
@@ -122,7 +120,8 @@ def advance_with_stages(
             )
         if np.any(np.diff(flow) <= 0):
             raise FloatingPointError(
-                f"characteristic ordering of {name} collapsed (step too coarse)"
+                f"characteristic ordering of the {name} flow collapsed at "
+                f"t = {cs.t + dt:.6g}: adjacent characteristics met or crossed"
             )
     jac = np.exp(new_log)
     return CharacteristicSet(cs.t + dt, cs.labels, phi, xi, jac[:count], jac[count:])

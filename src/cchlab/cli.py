@@ -7,9 +7,10 @@ Verbs:
     check <config>                       validate a config without running
 
 Exit codes: 0 = ok, 1 = configuration error, 2 = blow-up, 3 = measurement
-invalid (window too small / trajectory too short), 4 = unstable (time step
-above the advective stability bound during the march).  The environment
-variable CCCH_THREADS caps sweep parallelism.
+invalid (window too small / trajectory too short / characteristic ordering
+collapsed), 4 = unstable (time step above the advective stability bound
+during the march).  The environment variable CCCH_THREADS caps sweep
+parallelism.
 """
 
 from __future__ import annotations

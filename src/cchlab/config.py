@@ -74,16 +74,10 @@ class ScenarioConfig:
     n_amps: Optional[str] = None
 
 
-_FLOAT_KEYS = {
-    "half_length", "t_end", "dt", "output_every",
-    "epsilon_support", "tail_tolerance", "blowup_threshold",
-}
-_INT_KEYS = {"n_points", "label_stride"}
-_STR_KEYS = {
-    "kind", "out", "mode", "m0", "n0", "u0", "v0", "u0_im",
-    "snapshot_times", "q", "m_amps", "r", "n_amps",
-}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+# Every key with its annotation, in field order; under postponed evaluation
+# the annotations are the strings "float", "int", "str" and "Optional[str]".
+_KEY_TYPES = {f.name: f.type for f in dataclass_fields(ScenarioConfig)}
+_FLOAT_KEYS = [key for key, kind in _KEY_TYPES.items() if kind == "float"]
 
 _PEAKON_ONLY = {"q", "m_amps", "r", "n_amps"}
 _FIELD_ONLY = {
@@ -94,16 +88,13 @@ _FIELD_ONLY = {
 
 
 def _convert(key: str, raw: str, lineno: int):
+    kind = _KEY_TYPES[key]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        return raw
+        return {"float": float, "int": int}.get(kind, str)(raw)
     except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
+        expected = "an integer" if kind == "int" else "a number"
         raise ConfigurationError(
-            f"line {lineno}: key '{key}' expects {kind}, got {raw!r}"
+            f"line {lineno}: key '{key}' expects {expected}, got {raw!r}"
         ) from None
 
 
@@ -138,7 +129,7 @@ def parse_config(text: str) -> ScenarioConfig:
         for key, value in items:
             key = key.strip()
             value = value.strip()
-            if key not in _ALL_KEYS:
+            if key not in _KEY_TYPES:
                 raise ConfigurationError(f"line {lineno}: unknown key '{key}'")
             if key in pairs:
                 raise ConfigurationError(f"line {lineno}: duplicate key '{key}'")
@@ -206,16 +197,13 @@ def _validate(pairs: dict[str, object], key_lines: dict[str, int]) -> ScenarioCo
             if shape_key in pairs:
                 _parse_shapes(pairs[shape_key], shape_key, key_lines)
 
-    for key in ("dt", "t_end", "half_length", "output_every",
-                "epsilon_support", "tail_tolerance", "blowup_threshold"):
-        if key in pairs:
-            val = pairs[key]
-            minimum = 0.0 if key == "t_end" else None
-            if minimum is not None:
-                if not np.isfinite(val) or val < minimum:
-                    raise _fail_key(key, key_lines, f"must be >= {minimum}, got {val}")
-            elif not np.isfinite(val) or val <= 0.0:
-                raise _fail_key(key, key_lines, f"must be positive, got {val}")
+    for key in (k for k in _FLOAT_KEYS if k in pairs):
+        val = pairs[key]
+        if key == "t_end":
+            if not np.isfinite(val) or val < 0.0:
+                raise _fail_key(key, key_lines, f"must be >= 0.0, got {val}")
+        elif not np.isfinite(val) or val <= 0.0:
+            raise _fail_key(key, key_lines, f"must be positive, got {val}")
     if "label_stride" in pairs and pairs["label_stride"] < 1:
         raise _fail_key("label_stride", key_lines, "must be >= 1")
     if "n_points" in pairs:
@@ -226,8 +214,7 @@ def _validate(pairs: dict[str, object], key_lines: dict[str, int]) -> ScenarioCo
     if "snapshot_times" in pairs and pairs["snapshot_times"]:
         _parse_float_list(pairs["snapshot_times"], "snapshot_times", key_lines)
 
-    known = {f.name for f in dataclass_fields(ScenarioConfig)}
-    cfg = ScenarioConfig(**{k: v for k, v in pairs.items() if k in known})
+    cfg = ScenarioConfig(**{k: v for k, v in pairs.items() if k in _KEY_TYPES})
     _check_snapshot_times(cfg, key_lines)
     return cfg
 

@@ -2,8 +2,8 @@
 
 The CLI maps these onto process exit codes: configuration problems exit 1,
 blow-up exits 2, invalid-measurement conditions (domain too small,
-trajectory too short) exit 3, and a time step found to exceed the
-advective stability bound during a run exits 4.
+trajectory too short, characteristic ordering collapsed) exit 3, and a time
+step found to exceed the advective stability bound during a run exits 4.
 """
 
 from __future__ import annotations

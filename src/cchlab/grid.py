@@ -79,16 +79,14 @@ class Grid:
 
     Derived spectral machinery is precomputed once: the transform tables
     of the half spectrum (``real_spectrum``) and of the full spectrum
-    (``complex_spectrum``), and the two-thirds-rule dealiasing mask on the
-    full spectrum (``dealias_keep``); grids compare equal iff they have the
-    same window and resolution.
+    (``complex_spectrum``); grids compare equal iff they have the same
+    window and resolution.
     """
 
     half_length: float
     n_points: int
     spacing: float = field(init=False)
     nodes: np.ndarray = field(init=False, repr=False)
-    dealias_keep: np.ndarray = field(init=False, repr=False)
     real_spectrum: Spectrum = field(init=False, repr=False)
     complex_spectrum: Spectrum = field(init=False, repr=False)
 
@@ -114,9 +112,7 @@ class Grid:
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "dealias_keep", np.abs(mode_index) <= n // 3)
         self.nodes.setflags(write=False)
-        self.dealias_keep.setflags(write=False)
         half_modes = np.arange(n // 2 + 1)
         object.__setattr__(self, "real_spectrum", _spectrum(
             np.fft.rfft, partial(np.fft.irfft, n=n),
@@ -152,10 +148,6 @@ class Grid:
     def fwd_helmholtz(self, values: np.ndarray) -> np.ndarray:
         sp = self.spectrum_for(values)
         return sp.inverse(sp.forward(values) * sp.symbol)
-
-    def dealias(self, values: np.ndarray) -> np.ndarray:
-        sp = self.spectrum_for(values)
-        return sp.inverse(sp.forward(values) * sp.keep)
 
 
 @dataclass(frozen=True, eq=False)

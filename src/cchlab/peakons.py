@@ -54,12 +54,13 @@ m1(t + T/2) = n1(t).  For z(0) = 0 the period reduces to 4 |m1 - n1| /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, sqrt
+from math import sqrt
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, DomainTooSmallError, MeasurementError
 from .grid import Field, Grid, green_kernel_eval
+from .march import rk4_step, substeps
 
 __all__ = [
     "PeakonState",
@@ -117,21 +118,32 @@ class PeakonRates:
     dn_amp: np.ndarray
 
 
-def _rates(q, m_amp, r, n_amp) -> PeakonRates:
+def _families(y: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """Views (q, m_amp, r, n_amp) of a flat state with ``count`` m-peakons."""
+    mid = (y.size + 2 * count) // 2
+    return y[:count], y[count:2 * count], y[2 * count:mid], y[mid:]
+
+
+def _rates(y: np.ndarray, count: int) -> np.ndarray:
+    """Time derivative of the flat state (q, m_amp, r, n_amp)."""
+    q, m_amp, r, n_amp = _families(y, count)
     diff = q[:, None] - r[None, :]  # shape (M, N)
     kmat = kernel(diff)
     kpmat = kernel_derivative(diff)
-    dq = kmat @ n_amp
-    dm = -m_amp * (kpmat @ n_amp)
-    dr = kmat.T @ m_amp
-    dn = n_amp * (kpmat.T @ m_amp)  # K'(r - q) = -K'(q - r)
-    return PeakonRates(dq, dm, dr, dn)
+    # dq, dm_amp, dr, dn_amp; K'(r - q) = -K'(q - r)
+    return np.concatenate((kmat @ n_amp, -m_amp * (kpmat @ n_amp),
+                           kmat.T @ m_amp, n_amp * (kpmat.T @ m_amp)))
+
+
+def _flat(ps: PeakonState) -> np.ndarray:
+    return np.concatenate((ps.q, ps.m_amp, ps.r, ps.n_amp))
 
 
 def peakon_rhs(ps: PeakonState) -> PeakonRates:
     """Canonical equations: positions move with the other family's velocity,
     amplitudes stretch with minus its slope."""
-    return _rates(ps.q, ps.m_amp, ps.r, ps.n_amp)
+    count = ps.q.size
+    return PeakonRates(*_families(_rates(_flat(ps), count), count))
 
 
 def peakon_hamiltonian(ps: PeakonState) -> float:
@@ -163,22 +175,9 @@ def peakon_fields(ps: PeakonState, g: Grid) -> tuple[Field, Field]:
 
 
 def _step(ps: PeakonState, dt: float) -> PeakonState:
-    q, m, r, n = ps.q, ps.m_amp, ps.r, ps.n_amp
-    k1 = _rates(q, m, r, n)
-    k2 = _rates(q + 0.5 * dt * k1.dq, m + 0.5 * dt * k1.dm_amp,
-                r + 0.5 * dt * k1.dr, n + 0.5 * dt * k1.dn_amp)
-    k3 = _rates(q + 0.5 * dt * k2.dq, m + 0.5 * dt * k2.dm_amp,
-                r + 0.5 * dt * k2.dr, n + 0.5 * dt * k2.dn_amp)
-    k4 = _rates(q + dt * k3.dq, m + dt * k3.dm_amp,
-                r + dt * k3.dr, n + dt * k3.dn_amp)
-    sixth = dt / 6.0
-    return PeakonState(
-        ps.t + dt,
-        q + sixth * (k1.dq + 2 * k2.dq + 2 * k3.dq + k4.dq),
-        m + sixth * (k1.dm_amp + 2 * k2.dm_amp + 2 * k3.dm_amp + k4.dm_amp),
-        r + sixth * (k1.dr + 2 * k2.dr + 2 * k3.dr + k4.dr),
-        n + sixth * (k1.dn_amp + 2 * k2.dn_amp + 2 * k3.dn_amp + k4.dn_amp),
-    )
+    count = ps.q.size
+    y = rk4_step(lambda y: _rates(y, count), _flat(ps), dt)
+    return PeakonState(ps.t + dt, *_families(y, count))
 
 
 # Recursion depth for isolating kernel kinks inside a step.  2^-20 of a
@@ -221,8 +220,8 @@ def evolve_peakons(
 ) -> list[PeakonState]:
     """Fixed-step RK4 march; returns the state after every step.
 
-    The step count is ceil((t_end - t)/dt) with the step shrunk to land on
-    t_end exactly.  Steps are subdivided across peakon collisions (see
+    The steps are the ``march.substeps`` of t_end - t, landing on t_end
+    exactly.  Steps are subdivided across peakon collisions (see
     _step_smooth) so the sampled trajectory keeps fourth-order accuracy
     through amplitude exchanges.  Amplitudes beyond blowup_factor * max(1,
     initial amplitude scale) raise BlowUpError with the partial trajectory.
@@ -237,8 +236,7 @@ def evolve_peakons(
     traj = [ps]
     if t_end == ps.t:
         return traj
-    n_steps = max(1, ceil((t_end - ps.t) / dt - 1e-9))
-    dt_eff = (t_end - ps.t) / n_steps
+    n_steps, dt_eff = substeps(t_end - ps.t, dt)
     state = ps
     for k in range(n_steps):
         state = _step_smooth(state, dt_eff)

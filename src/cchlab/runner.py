@@ -1,10 +1,12 @@
 """Scenario orchestration: run a configured pipeline, write CSV, summarize.
 
-Exit statuses: 0 = completed, 1 = configuration error, 2 = blow-up
-(partial output is still written), 3 = measurement invalid (window too
-small for trustworthy exponentially weighted diagnostics), 4 = unstable
-(the time step exceeded the advective stability bound during the march;
-partial output is still written).
+Exit statuses: 0 = completed, 1 = configuration error, 2 = blow-up,
+3 = measurement invalid (window too small for trustworthy exponentially
+weighted diagnostics, or tracked characteristics that left the window or
+whose ordering collapsed), 4 = unstable (the time step exceeded the
+advective stability bound during the march).  A blow-up, invalid
+measurement or instability met during a march still writes the output
+completed so far.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def _run_field_scenario(cfg: ScenarioConfig) -> RunResult:
     except BlowUpError as err:
         status = 2
         summary.append(f"BLOW-UP: {err}")
-    except DomainTooSmallError as err:
+    except (DomainTooSmallError, FloatingPointError) as err:
         status = 3
         summary.append(f"MEASUREMENT INVALID: {err}")
     except StabilityError as err:
@@ -184,6 +186,8 @@ def _run_peakon_scenario(cfg: ScenarioConfig) -> RunResult:
         status = 2
         summary.append(f"BLOW-UP: {err}")
 
+    hams = [pk.peakon_hamiltonian(s) for s in traj]
+    totals = [float(np.sum(s.m_amp) + np.sum(s.n_amp)) for s in traj]
     with open(cfg.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         m_count, n_count = ps.q.size, ps.r.size
@@ -193,15 +197,12 @@ def _run_peakon_scenario(cfg: ScenarioConfig) -> RunResult:
                   + [f"r_{b}" for b in range(n_count)]
                   + [f"n_amp_{b}" for b in range(n_count)])
         writer.writerow(header)
-        for s in traj:
+        for s, ham, total in zip(traj, hams, totals):
             writer.writerow(
-                [_fmt(s.t), _fmt(pk.peakon_hamiltonian(s)),
-                 _fmt(float(np.sum(s.m_amp) + np.sum(s.n_amp)))]
+                [_fmt(s.t), _fmt(ham), _fmt(total)]
                 + [_fmt(x) for x in s.q] + [_fmt(x) for x in s.m_amp]
                 + [_fmt(x) for x in s.r] + [_fmt(x) for x in s.n_amp])
 
-    totals = [float(np.sum(s.m_amp) + np.sum(s.n_amp)) for s in traj]
-    hams = [pk.peakon_hamiltonian(s) for s in traj]
     summary.append(f"samples: {len(traj)}   (CSV: {cfg.out})")
     summary.append(f"amplitude total {totals[0]:g}: max |drift| "
                    f"{max(abs(v - totals[0]) for v in totals):.3e}")

@@ -23,15 +23,14 @@ one batched inverse transform that builds (u, u_x, m, m_x) -- and
 precomputes, forms the products in physical space, and returns through one
 batched forward transform.
 
-Time stepping is classical fixed-step RK4 with an advective stability
-guard and a loud blow-up guard; optional characteristic sets are advanced
-inside the same RK4 stages so the extended system retains fourth order.
+Time stepping is the fixed-step RK4 of cchlab.march with an advective stability
+guard and a loud blow-up guard; optional characteristic sets are advanced with
+the step's four stage velocities so the extended system retains fourth order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,6 +38,7 @@ import numpy as np
 from .characteristics import CharacteristicSet, advance_with_stages
 from .errors import BlowUpError, ConfigurationError, StabilityError
 from .grid import Field, Grid, Spectrum
+from .march import rk4_step, substeps
 
 __all__ = [
     "COUPLED",
@@ -198,12 +198,16 @@ def _step(core: _Core, spec: np.ndarray, dt: float, threshold: float,
     advective bound, and BlowUpError (without a state) when the stepped
     momenta exceed ``threshold``.
     """
-    r1, w1 = _stage(core, spec)
-    _check_stability(core.grid, dt, w1)
-    r2, w2 = _stage(core, spec + 0.5 * dt * r1)
-    r3, w3 = _stage(core, spec + 0.5 * dt * r2)
-    r4, w4 = _stage(core, spec + dt * r3)
-    spec = spec + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+    stages: list[_Velocities] = []
+
+    def rate(y: np.ndarray) -> np.ndarray:
+        r, w = _stage(core, y)
+        if not stages:
+            _check_stability(core.grid, dt, w)
+        stages.append(w)
+        return r
+
+    spec = rk4_step(rate, spec, dt)
     rows = core.sp.inverse(spec)
     peak = float(np.max(np.abs(rows)))
     if not np.isfinite(peak) or peak > threshold:
@@ -211,7 +215,7 @@ def _step(core: _Core, spec: np.ndarray, dt: float, threshold: float,
             f"momentum magnitude {peak:.3e} exceeded the blow-up threshold "
             f"{threshold:.3e} at t = {t_new:.6g}"
         )
-    return spec, rows, [w1, w2, w3, w4]
+    return spec, rows, stages
 
 
 def step_rk4(state: PdeState, dt: float, *, blowup_threshold: Optional[float] = None) -> PdeState:
@@ -266,17 +270,19 @@ def rhs_complex_real_form(mu_re: Field, mu_im: Field) -> tuple[Field, Field]:
     if mu_re.grid != mu_im.grid:
         raise ValueError("the pair must live on the same grid")
     g = mu_re.grid
-    dm = _conjugate_pair_rate(g, mu_re.values + 1j * mu_im.values)
-    return Field(g, dm.real), Field(g, dm.imag)
+    d_re, d_im = _conjugate_pair_rate(g, np.array((mu_re.values, mu_im.values)))
+    return Field(g, d_re), Field(g, d_im)
 
 
-def _conjugate_pair_rate(g: Grid, m: np.ndarray) -> np.ndarray:
-    """dm/dt of the pair (m, conj m) through the generic coupled complex
-    stage: both rows are transformed and both products formed, so nothing
-    of the reduced complex_conjugate path is shared."""
+def _conjugate_pair_rate(g: Grid, mu: np.ndarray) -> np.ndarray:
+    """d(mu_re, mu_im)/dt of the pair (m, conj m), m = mu_re + i mu_im, through
+    the generic coupled complex stage: both rows are transformed and both
+    products formed, so nothing of the reduced complex_conjugate path is shared."""
+    m = mu[0] + 1j * mu[1]
     core = _Core(g, g.complex_spectrum, COUPLED)
     rate, _ = _stage(core, core.sp.forward(np.stack((m, np.conj(m)))))
-    return core.sp.inverse(rate[0])
+    dm = core.sp.inverse(rate[0])
+    return np.array((dm.real, dm.imag))
 
 
 def _normalize_output_times(t0: float, t_end: float, output_times) -> list[float]:
@@ -309,12 +315,12 @@ def evolve(
 ) -> Trajectory:
     """Fixed-step RK4 march with snapshots at the requested output times.
 
-    Each inter-output interval is subdivided into ceil(interval/dt) equal
-    steps so snapshots land exactly on the requested times (the effective
-    step never exceeds dt).  When ``track`` is given, the characteristic
-    set is advanced inside the same RK4 stages as the momenta and a
-    snapshot of it accompanies every state snapshot.  ``callback`` is
-    invoked as callback(state, characteristics) at every snapshot.
+    Each inter-output interval is cut into its ``march.substeps``, equal
+    steps no longer than dt, so snapshots land exactly on the requested
+    times.  When ``track`` is given, the characteristic set is advanced
+    inside the same RK4 stages as the momenta and a snapshot of it
+    accompanies every state snapshot.  ``callback`` is invoked as
+    callback(state, characteristics) at every snapshot.
 
     The blow-up threshold is frozen from the initial data as
     blowup_factor * max(1, max|m0|, max|n0|); exceeding it raises
@@ -349,9 +355,7 @@ def evolve(
             emit(state)
             next_idx = 1
         for target in times[next_idx:]:
-            span = target - t_rows
-            n_sub = max(1, ceil(span / dt - 1e-9))
-            dt_eff = span / n_sub
+            n_sub, dt_eff = substeps(target - t_rows, dt)
             t_start = t_rows
             for k in range(1, n_sub + 1):
                 spec, rows, stages = _step(core, spec, dt_eff, threshold,
@@ -393,28 +397,14 @@ def evolve_real_form(
     g = mu_re.grid
     times = _normalize_output_times(0.0, t_end, output_times)
 
-    def rhs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dm = _conjugate_pair_rate(g, a + 1j * b)
-        return dm.real, dm.imag
-
     out: list[tuple[float, Field, Field]] = []
-    a, b = mu_re.values.copy(), mu_im.values.copy()
+    y = np.array((mu_re.values, mu_im.values))
     t_cursor = 0.0
-    next_idx = 0
-    if abs(times[0]) <= 1e-12:
-        out.append((0.0, Field(g, a), Field(g, b)))
-        next_idx = 1
-    for target in times[next_idx:]:
-        span = target - t_cursor
-        n_sub = max(1, ceil(span / dt - 1e-9))
-        dt_eff = span / n_sub
-        for _ in range(n_sub):
-            ka1, kb1 = rhs(a, b)
-            ka2, kb2 = rhs(a + 0.5 * dt_eff * ka1, b + 0.5 * dt_eff * kb1)
-            ka3, kb3 = rhs(a + 0.5 * dt_eff * ka2, b + 0.5 * dt_eff * kb2)
-            ka4, kb4 = rhs(a + dt_eff * ka3, b + dt_eff * kb3)
-            a = a + (dt_eff / 6.0) * (ka1 + 2.0 * ka2 + 2.0 * ka3 + ka4)
-            b = b + (dt_eff / 6.0) * (kb1 + 2.0 * kb2 + 2.0 * kb3 + kb4)
-        t_cursor = target
-        out.append((target, Field(g, a), Field(g, b)))
+    for target in times:
+        if out or abs(target) > 1e-12:  # a first output at t = 0 takes no step
+            n_sub, dt_eff = substeps(target - t_cursor, dt)
+            for _ in range(n_sub):
+                y = rk4_step(lambda mu: _conjugate_pair_rate(g, mu), y, dt_eff)
+            t_cursor = target
+        out.append((t_cursor, Field(g, y[0]), Field(g, y[1])))
     return out

@@ -348,6 +348,25 @@ def test_instability_exits_4_with_partial_output(tmp_path, capsys):
     assert len(rows) == 1 and float(rows[0][0]) == 0.0  # the t = 0 record
 
 
+def test_characteristic_ordering_collapse_exits_3_with_partial_output(tmp_path, capsys):
+    # Two opposite strong bumps steepen until adjacent phi characteristics
+    # meet at t = 8.12: the run ends with status 3 and the records of
+    # t = 0 ... 8 on disk, not with a traceback.
+    wave = "bump(-3, 3, 10) - bump(3, 3, 10)"
+    path = write_cfg(tmp_path, (
+        "kind = characteristics\nhalf_length = 30\nn_points = 512\n"
+        "t_end = 10\ndt = 0.02\noutput_every = 1\nblowup_threshold = 1e12\n"
+        f"tail_tolerance = 1\nm0 = {wave}\nn0 = {wave}\nout = collapse.csv\n"
+    ))
+    assert main(["run", path]) == 3
+    out = capsys.readouterr().out
+    assert ("MEASUREMENT INVALID: characteristic ordering of the phi flow "
+            "collapsed at t = 8.12") in out
+    header, rows = read_rows(tmp_path / "collapse.csv")
+    assert header == list(CSV_COLUMNS) + ["pullback_residual"]
+    assert [float(row[0]) for row in rows] == [float(t) for t in range(9)]
+
+
 def test_uncontained_tails_exit_3(tmp_path, capsys):
     path = write_cfg(tmp_path, (
         "kind = pde\nm0 = gaussian(0, 10, 1)\nt_end = 0\nout = g.csv\n"

@@ -1,0 +1,55 @@
+"""The shared RK4 step and landing rule."""
+
+from __future__ import annotations
+
+from math import exp
+
+import numpy as np
+import pytest
+
+from cchlab.march import rk4_step, substeps
+
+
+def test_rk4_step_calls_rate_four_times_at_the_stage_points():
+    # The solver's stability check on the first stage and the
+    # characteristics' i-th stage table both rely on this call order.
+    calls = []
+
+    def rate(y):
+        calls.append(y.copy())
+        return np.array([1.0, -2.0]) * (len(calls) + y)
+
+    y0, dt = np.array([0.5, 2.0]), 0.1
+    k1 = np.array([1.0, -2.0]) * (1 + y0)
+    k2 = np.array([1.0, -2.0]) * (2 + y0 + 0.5 * dt * k1)
+    k3 = np.array([1.0, -2.0]) * (3 + y0 + 0.5 * dt * k2)
+    rk4_step(rate, y0, dt)
+    assert len(calls) == 4
+    for got, want in zip(calls, (y0, y0 + 0.5 * dt * k1, y0 + 0.5 * dt * k2, y0 + dt * k3)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dt", [0.4, 0.2, 0.1, 0.05])
+def test_rk4_step_local_error_is_fifth_order(dt):
+    # One step of dy/dt = y misses e^dt by dt^5/120 + O(dt^6).
+    y = rk4_step(lambda y: y, np.array([1.0]), dt)
+    assert abs(y[0] - exp(dt)) <= dt**5 / 100
+
+
+@pytest.mark.parametrize("span, dt", [(1.0, 1e-3), (0.7, 0.3), (13.0, 1e-3),
+                                      (0.1, 0.0125), (2.5e-3, 1e-3)])
+def test_substeps_cover_the_span_without_exceeding_dt(span, dt):
+    count, size = substeps(span, dt)
+    assert count * size == pytest.approx(span, rel=1e-15)
+    assert size <= dt
+
+
+def test_substeps_take_one_step_below_dt():
+    assert substeps(0.25, 1.0) == (1, 0.25)
+    assert substeps(0.0, 1.0) == (1, 0.0)
+
+
+def test_substeps_ignore_round_off_above_a_whole_count():
+    count, size = substeps(3 * 0.01 * (1 + 1e-12), 0.01)
+    assert count == 3
+    assert size == pytest.approx(0.01, rel=1e-11)
