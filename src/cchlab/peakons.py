@@ -54,7 +54,7 @@ m1(t + T/2) = n1(t).  For z(0) = 0 the period reduces to 4 |m1 - n1| /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -129,7 +129,7 @@ def _rates(y: np.ndarray, count: int) -> np.ndarray:
     q, m_amp, r, n_amp = _families(y, count)
     diff = q[:, None] - r[None, :]  # shape (M, N)
     kmat = kernel(diff)
-    kpmat = kernel_derivative(diff)
+    kpmat = -np.sign(diff) * kmat  # kernel_derivative(diff), bit for bit
     # dq, dm_amp, dr, dn_amp; K'(r - q) = -K'(q - r)
     return np.concatenate((kmat @ n_amp, -m_amp * (kpmat @ n_amp),
                            kmat.T @ m_amp, n_amp * (kpmat.T @ m_amp)))
@@ -174,12 +174,6 @@ def peakon_fields(ps: PeakonState, g: Grid) -> tuple[Field, Field]:
     return Field(g, u), Field(g, v)
 
 
-def _step(ps: PeakonState, dt: float) -> PeakonState:
-    count = ps.q.size
-    y = rk4_step(lambda y: _rates(y, count), _flat(ps), dt)
-    return PeakonState(ps.t + dt, *_families(y, count))
-
-
 # Recursion depth for isolating kernel kinks inside a step.  2^-20 of a
 # step brackets a transversal crossing into ~1e-9 of the step span, far
 # below the measurement tolerances; deeper splitting would push the
@@ -188,31 +182,48 @@ def _step(ps: PeakonState, dt: float) -> PeakonState:
 _KINK_SPLIT_DEPTH = 20
 
 
-def _pair_signs(ps: PeakonState) -> np.ndarray:
-    if ps.q.size == 0 or ps.r.size == 0:
-        return np.zeros((ps.q.size, ps.r.size))
-    return np.sign(ps.q[:, None] - ps.r[None, :])
+def _pair_signs(y: np.ndarray, count: int) -> np.ndarray:
+    """Signs of q_a - r_b, shape (M, N), of a flat state."""
+    q, _, r, _ = _families(y, count)
+    return np.sign(q[:, None] - r[None, :])
 
 
-def _step_smooth(ps: PeakonState, dt: float, depth: int = 0) -> PeakonState:
-    """RK4 step that subdivides across collisions.
+def _step_smooth(t: float, y: np.ndarray, signs: np.ndarray, dt: float,
+                 count: int, depth: int = 0) -> tuple[float, np.ndarray, np.ndarray]:
+    """RK4 step of the flat state y that subdivides across collisions.
 
-    The right-hand side is smooth except where some q_a - r_b changes sign
-    (the kernel slope K' jumps there), and a step that straddles such a
-    crossing only reaches first-order accuracy.  When a sign flip is
-    detected the step is redone as two halves, recursively, which brackets
-    each transversal crossing into an interval of ~dt/2^45 and keeps the
-    fourth-order behaviour of the smooth pieces.
+    ``signs`` are the pair signs of y (see _pair_signs); the step returns
+    (t + dt, stepped state, its pair signs), so the caller carries the
+    signs into the next step instead of computing them again.  The
+    right-hand side is smooth except where some q_a - r_b changes sign (the
+    kernel slope K' jumps there), and a step that straddles such a crossing
+    only reaches first-order accuracy.  When a sign changes the step is
+    redone as two halves, recursively to _KINK_SPLIT_DEPTH, which brackets
+    each transversal crossing into ~dt/2^20 and keeps the fourth-order
+    behaviour of the smooth pieces.  A step whose positions came out NaN is
+    returned unsplit: halving cannot mend it, and evolve_peakons reports it.
     """
-    nxt = _step(ps, dt)
-    if depth >= _KINK_SPLIT_DEPTH:
-        return nxt
-    before = _pair_signs(ps)
-    after = _pair_signs(nxt)
-    if not np.any((before * after < 0.0) | ((before != after) & (before * after == 0.0))):
-        return nxt
-    mid = _step_smooth(ps, 0.5 * dt, depth + 1)
-    return _step_smooth(mid, 0.5 * dt, depth + 1)
+    nxt = rk4_step(lambda z: _rates(z, count), y, dt)
+    after = _pair_signs(nxt, count)
+    if (depth >= _KINK_SPLIT_DEPTH or not (signs != after).any()
+            or np.isnan(after).any()):
+        return t + dt, nxt, after
+    t, y, signs = _step_smooth(t, y, signs, 0.5 * dt, count, depth + 1)
+    return _step_smooth(t, y, signs, 0.5 * dt, count, depth + 1)
+
+
+def _checked_state(t: float, y: np.ndarray, count: int) -> PeakonState:
+    """PeakonState whose four arrays are views of the flat state y.
+
+    Sets the frozen fields directly and skips ``__post_init__``: the march
+    has just checked every value of y finite, y is one-dimensional float64,
+    and _families pairs the shapes up by construction.  y must be an array
+    that nothing writes to again, such as the output of ``rk4_step``.
+    """
+    ps = object.__new__(PeakonState)
+    q, m_amp, r, n_amp = _families(y, count)
+    ps.__dict__.update(t=t, q=q, m_amp=m_amp, r=r, n_amp=n_amp)
+    return ps
 
 
 def evolve_peakons(
@@ -221,10 +232,14 @@ def evolve_peakons(
     """Fixed-step RK4 march; returns the state after every step.
 
     The steps are the ``march.substeps`` of t_end - t, landing on t_end
-    exactly.  Steps are subdivided across peakon collisions (see
-    _step_smooth) so the sampled trajectory keeps fourth-order accuracy
-    through amplitude exchanges.  Amplitudes beyond blowup_factor * max(1,
-    initial amplitude scale) raise BlowUpError with the partial trajectory.
+    exactly.  The march holds the state as one flat array (q, m_amp, r,
+    n_amp) and carries each step's pair signs into the next; steps are
+    subdivided across peakon collisions (see _step_smooth) so the sampled
+    trajectory keeps fourth-order accuracy through amplitude exchanges.
+    After each full step, and only there, the stepped values are checked:
+    a non-finite value, or an amplitude beyond blowup_factor * max(1,
+    initial amplitude scale), raises BlowUpError with the trajectory up to
+    the step before.  Each kept state is then built once, without copying.
     """
     if dt <= 0.0 or not np.isfinite(dt):
         raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
@@ -237,20 +252,24 @@ def evolve_peakons(
     if t_end == ps.t:
         return traj
     n_steps, dt_eff = substeps(t_end - ps.t, dt)
-    state = ps
+    count = ps.q.size
+    n_start = 2 * count + ps.r.size
+    t, y = ps.t, _flat(ps)
+    signs = _pair_signs(y, count)
     for k in range(n_steps):
-        state = _step_smooth(state, dt_eff)
-        peak = max((float(np.max(np.abs(a))) for a in (state.m_amp, state.n_amp)
-                    if a.size), default=0.0)
-        if not np.isfinite(peak) or peak > threshold:
+        t, y, signs = _step_smooth(t, y, signs, dt_eff, count)
+        values = y.tolist()
+        if not all(map(isfinite, values)):
+            raise BlowUpError(f"non-finite peakon state at t = {t:.6g}",
+                              state=traj[-1], trajectory=traj)
+        peak = max(map(abs, values[count:2 * count] + values[n_start:]), default=0.0)
+        if peak > threshold:
             raise BlowUpError(
                 f"peakon amplitude {peak:.3e} exceeded the blow-up threshold "
-                f"{threshold:.3e} at t = {state.t:.6g}",
+                f"{threshold:.3e} at t = {t:.6g}",
                 state=traj[-1], trajectory=traj,
             )
-        if k == n_steps - 1:
-            state = PeakonState(float(t_end), state.q, state.m_amp, state.r, state.n_amp)
-        traj.append(state)
+        traj.append(_checked_state(float(t_end) if k == n_steps - 1 else t, y, count))
     return traj
 
 

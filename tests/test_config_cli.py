@@ -334,6 +334,28 @@ def test_blowup_exits_2_with_partial_output(tmp_path, capsys):
     assert len(rows) == 1  # the pre-blow-up trajectory is still written
 
 
+def test_non_finite_peakon_state_exits_2_with_partial_output(tmp_path, capsys, monkeypatch):
+    # No configuration is known to overflow, so poison the rates from the
+    # first stage of step 11 on.
+    real_rates, calls = cchlab.peakons._rates, []
+
+    def poisoned(y, count):
+        calls.append(None)
+        rates = real_rates(y, count)
+        return rates * np.nan if len(calls) > 40 else rates
+
+    monkeypatch.setattr(cchlab.peakons, "_rates", poisoned)
+    path = write_cfg(tmp_path, (
+        "kind=peakon q=0 m_amps=10 r=5 n_amps=1\n"
+        "t_end = 1\nout = nan.csv\n"
+    ))
+    assert main(["run", path]) == 2
+    assert "BLOW-UP: non-finite peakon state at t = 0.011" in capsys.readouterr().out
+    _, rows = read_rows(tmp_path / "nan.csv")
+    assert len(rows) == 11  # t = 0 and the ten finite steps
+    assert float(rows[-1][0]) == pytest.approx(0.01, abs=1e-15)
+
+
 def test_instability_exits_4_with_partial_output(tmp_path, capsys):
     path = write_cfg(tmp_path, (
         "kind = pde\nn_points = 512\ndt = 0.05\n"
@@ -365,6 +387,21 @@ def test_characteristic_ordering_collapse_exits_3_with_partial_output(tmp_path, 
     header, rows = read_rows(tmp_path / "collapse.csv")
     assert header == list(CSV_COLUMNS) + ["pullback_residual"]
     assert [float(row[0]) for row in rows] == [float(t) for t in range(9)]
+
+
+def test_momentum_zero_by_symmetry_reports_no_p_drift(tmp_path, capsys):
+    # P(0) is round-off here (every P in the CSV is below 1e-14), so its
+    # drift is measured against the total |momentum|, not against P(0).
+    wave = "bump(-3, 3, 10) - bump(3, 3, 10)"
+    path = write_cfg(tmp_path, (
+        "kind = pde\nn_points = 256\nt_end = 1\ndt = 0.01\noutput_every = 0.5\n"
+        f"tail_tolerance = 1\nm0 = {wave}\nn0 = {wave}\nout = odd.csv\n"
+    ))
+    assert main(["run", path]) == 0
+    line = next(x for x in capsys.readouterr().out.splitlines() if "P drift" in x)
+    assert float(line.split("P drift:")[1]) < 1e-12
+    header, rows = read_rows(tmp_path / "odd.csv")
+    assert max(abs(float(row[header.index("P")])) for row in rows) < 1e-14
 
 
 def test_uncontained_tails_exit_3(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cchlab.peakons as peakons_module
 from cchlab.errors import (BlowUpError, ConfigurationError, DomainTooSmallError,
                            MeasurementError)
 from cchlab.grid import green_kernel_eval, make_grid
@@ -91,6 +92,111 @@ def test_evolve_validation_and_blowup_guard():
     with pytest.raises(BlowUpError) as info:
         evolve_peakons(ps, 1.0, 1e-3, blowup_factor=0.01)
     assert info.value.trajectory == [ps]
+
+
+def test_non_finite_state_raises_blowup_with_the_states_before_it(monkeypatch):
+    # Poison the rates from the first stage of step 11: the march must stop
+    # with BlowUpError after step 10, not split the NaN step 2^20 times or
+    # let a FloatingPointError escape.
+    real_rates, calls = peakons_module._rates, []
+
+    def poisoned(y, count):
+        calls.append(None)
+        rates = real_rates(y, count)
+        return rates * np.nan if len(calls) > 40 else rates
+
+    monkeypatch.setattr(peakons_module, "_rates", poisoned)
+    ps = PeakonState(0.0, [0.0], [10.0], [5.0], [1.0])
+    with pytest.raises(BlowUpError, match=r"non-finite peakon state at t = 0\.011") as info:
+        evolve_peakons(ps, 1.0, 1e-3)
+    traj = info.value.trajectory
+    assert len(traj) == 11 and traj[0] is ps and info.value.state is traj[-1]
+    assert traj[-1].t == pytest.approx(0.010, abs=1e-15)
+    assert all(np.all(np.isfinite(s.m_amp)) for s in traj)
+    assert len(calls) == 44  # the poisoned step was not subdivided
+
+
+# ----------------------------------------------------------------- the march
+
+def _oracle_rates(q, m, r, n):
+    """The four canonical equations, written out with the public kernel."""
+    kq = kernel(q[:, None] - r[None, :])
+    kpq = kernel_derivative(q[:, None] - r[None, :])
+    kr = kernel(r[:, None] - q[None, :])
+    kpr = kernel_derivative(r[:, None] - q[None, :])
+    return (np.sum(kq * n[None, :], axis=1), -m * np.sum(kpq * n[None, :], axis=1),
+            np.sum(kr * m[None, :], axis=1), -n * np.sum(kpr * m[None, :], axis=1))
+
+
+def _oracle_march(ps, steps, dt):
+    """Classical RK4 on the four arrays, with no collision subdivision."""
+    y = [ps.q, ps.m_amp, ps.r, ps.n_amp]
+    out = [y]
+    for _ in range(steps):
+        k1 = _oracle_rates(*y)
+        k2 = _oracle_rates(*(a + 0.5 * dt * k for a, k in zip(y, k1)))
+        k3 = _oracle_rates(*(a + 0.5 * dt * k for a, k in zip(y, k2)))
+        k4 = _oracle_rates(*(a + dt * k for a, k in zip(y, k3)))
+        y = [a + (dt / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+             for a, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)]
+        out.append(y)
+    return out
+
+
+def _assert_well_formed(traj):
+    for s in traj:
+        for a in (s.q, s.m_amp, s.r, s.n_amp):
+            assert a.ndim == 1 and a.dtype == np.float64 and np.all(np.isfinite(a))
+        assert s.q.shape == s.m_amp.shape and s.r.shape == s.n_amp.shape
+    for i, first in enumerate(traj):
+        for second in traj[i + 1:]:
+            for a in (first.q, first.m_amp, first.r, first.n_amp):
+                for b in (second.q, second.m_amp, second.r, second.n_amp):
+                    assert not np.shares_memory(a, b)
+
+
+def test_march_matches_the_canonical_equations_to_the_last_bit():
+    dt = 2.0**-9
+    ps = PeakonState(0.0, [0.0], [10.0], [5.0], [1.0])
+    traj = evolve_peakons(ps, 200 * dt, dt)
+    oracle = _oracle_march(ps, 200, dt)
+    assert len(traj) == len(oracle) == 201
+    for s, (q, m, r, n) in zip(traj, oracle):
+        for got, want in ((s.q, q), (s.m_amp, m), (s.r, r), (s.n_amp, n)):
+            assert np.array_equal(got, want)
+    assert [s.t for s in traj] == pytest.approx([k * dt for k in range(201)], abs=1e-15)
+    _assert_well_formed(traj)
+
+
+def test_train_march_matches_the_canonical_equations():
+    dt = 2.0**-9
+    ps = PeakonState(0.0, [-6.0, -4.0, -2.0], [1.0, 0.5, 0.8], [2.0, 5.0], [0.7, 1.2])
+    traj = evolve_peakons(ps, 60 * dt, dt)
+    oracle = _oracle_march(ps, 60, dt)
+    for s, (q, m, r, n) in zip(traj, oracle):
+        assert np.all(q[:, None] < r[None, :])  # no crossing, so no split
+        want = np.concatenate((q, m, r, n))
+        got = np.concatenate((s.q, s.m_amp, s.r, s.n_amp))
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    _assert_well_formed(traj)
+
+
+def test_collision_step_is_subdivided(monkeypatch):
+    # q - r = 0.02 closes at ~4.5 per unit time, so the pair crosses at
+    # t ~ 0.0044, inside the first coarse step.  Splitting that step keeps
+    # the coarse march at 3.9e-8 of a fine one; without it the error is 4e-2.
+    ps = PeakonState(0.0, [0.0], [10.0], [-0.02], [1.0])
+    fine = evolve_peakons(ps, 0.1, 1e-5)
+
+    def max_error(coarse):
+        return max(
+            float(np.max(np.abs(np.concatenate((c.q - f.q, c.m_amp - f.m_amp,
+                                                c.r - f.r, c.n_amp - f.n_amp)))))
+            for c, f in zip(coarse, fine[::1000]))
+
+    assert max_error(evolve_peakons(ps, 0.1, 1e-2)) < 1e-6
+    monkeypatch.setattr(peakons_module, "_KINK_SPLIT_DEPTH", 0)
+    assert max_error(evolve_peakons(ps, 0.1, 1e-2)) > 1e-2
 
 
 # ------------------------------------------------------------------- orbits
