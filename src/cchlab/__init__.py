@@ -16,9 +16,10 @@ from .errors import (BlowUpError, ConfigurationError, DomainTooSmallError,
 from .grid import (Field, Grid, convolve_green_quadrature, decompose_I1_I2,
                    green_kernel_eval, helmholtz_inverse, interp_periodic,
                    make_grid, spectral_derivative)
-from .peakons import (PeakonRates, PeakonState, evolve_peakons, kernel,
-                      kernel_derivative, measure_waltz, peakon_fields,
-                      peakon_hamiltonian, peakon_rhs, waltz_period_closed_form)
+from .peakons import (PeakonRates, PeakonState, evolve_peakon_path, evolve_peakons,
+                      kernel, kernel_derivative, measure_waltz, measure_waltz_path,
+                      peakon_fields, peakon_hamiltonian, peakon_path_invariants,
+                      peakon_rhs, waltz_period_closed_form)
 from .runner import RunResult, execute, run_scenario
 from .solver import (CH_REDUCTION, COMPLEX_CONJUGATE, COUPLED, MODES, PdeState,
                      Trajectory, evolve, evolve_real_form, recover_velocity,

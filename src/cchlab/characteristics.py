@@ -59,10 +59,31 @@ class CharacteristicSet:
             raise ValueError("labels must be strictly increasing")
         if np.any(self.phi_x <= 0) or np.any(self.xi_x <= 0):
             raise ValueError("flow Jacobians must be positive")
+        # Stepped sets share the validated labels (see _stepped_set).
+        self.labels.flags.writeable = False
 
     def at_time(self, t: float) -> "CharacteristicSet":
         """Copy with the clock pinned to an exact snapshot time."""
         return replace(self, t=float(t))
+
+
+def _stepped_set(cs: CharacteristicSet, t: float, pos: np.ndarray,
+                 jac: np.ndarray) -> CharacteristicSet:
+    """The set over cs's labels with positions ``pos`` and Jacobians ``jac``,
+    each phi's followed by xi's, built without ``__post_init__``.
+
+    The labels are cs's own validated, read-only array; the flows are views
+    of pos and jac, which nothing may write to again.  The Jacobians are
+    still checked positive, because exp of a very negative log-Jacobian
+    underflows to 0.
+    """
+    if np.any(jac <= 0):
+        raise ValueError("flow Jacobians must be positive")
+    count = cs.labels.size
+    stepped = object.__new__(CharacteristicSet)
+    stepped.__dict__.update(t=t, labels=cs.labels, phi=pos[:count], xi=pos[count:],
+                            phi_x=jac[:count], xi_x=jac[count:])
+    return stepped
 
 
 def init_characteristics(g: Grid, t: float = 0.0, stride: int = 4) -> CharacteristicSet:
@@ -123,8 +144,7 @@ def advance_with_stages(
                 f"characteristic ordering of the {name} flow collapsed at "
                 f"t = {cs.t + dt:.6g}: adjacent characteristics met or crossed"
             )
-    jac = np.exp(new_log)
-    return CharacteristicSet(cs.t + dt, cs.labels, phi, xi, jac[:count], jac[count:])
+    return _stepped_set(cs, cs.t + dt, new_pos, np.exp(new_log))
 
 
 def advect(cs: CharacteristicSet, u: Field, v: Field, dt: float) -> CharacteristicSet:

@@ -28,7 +28,10 @@ class BlowUpError(RuntimeError):
 
     Carries the last valid state (``state``) and, when raised from a full
     run, the partial trajectory of snapshots completed so far
-    (``trajectory``, may be None for a single step).
+    (``trajectory``, may be None for a single step).  Its form is the
+    raiser's: a ``solver.Trajectory`` from ``solver.evolve``, a list of
+    states from ``evolve_peakons``, or a path array, one row per sample,
+    from ``evolve_peakon_path``.
     """
 
     def __init__(self, message: str, state=None, trajectory=None):

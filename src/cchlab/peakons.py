@@ -71,7 +71,10 @@ __all__ = [
     "peakon_hamiltonian",
     "peakon_fields",
     "evolve_peakons",
+    "evolve_peakon_path",
+    "peakon_path_invariants",
     "measure_waltz",
+    "measure_waltz_path",
     "waltz_period_closed_form",
 ]
 
@@ -201,10 +204,13 @@ def _step_smooth(t: float, y: np.ndarray, signs: np.ndarray, dt: float,
     redone as two halves, recursively to _KINK_SPLIT_DEPTH, which brackets
     each transversal crossing into ~dt/2^20 and keeps the fourth-order
     behaviour of the smooth pieces.  A step whose positions came out NaN is
-    returned unsplit: halving cannot mend it, and evolve_peakons reports it.
+    returned unsplit: halving cannot mend it, and evolve_peakon_path reports
+    it.
     """
     nxt = rk4_step(lambda z: _rates(z, count), y, dt)
     after = _pair_signs(nxt, count)
+    # NaN compares unequal, so a NaN step always reaches the isnan test, and
+    # a step whose signs did not change never calls it.
     if (depth >= _KINK_SPLIT_DEPTH or not (signs != after).any()
             or np.isnan(after).any()):
         return t + dt, nxt, after
@@ -212,34 +218,37 @@ def _step_smooth(t: float, y: np.ndarray, signs: np.ndarray, dt: float,
     return _step_smooth(t, y, signs, 0.5 * dt, count, depth + 1)
 
 
-def _checked_state(t: float, y: np.ndarray, count: int) -> PeakonState:
-    """PeakonState whose four arrays are views of the flat state y.
+def _checked_state(row: np.ndarray, count: int) -> PeakonState:
+    """The path row (t, flat state) as a PeakonState of views into the row.
 
     Sets the frozen fields directly and skips ``__post_init__``: the march
-    has just checked every value of y finite, y is one-dimensional float64,
-    and _families pairs the shapes up by construction.  y must be an array
-    that nothing writes to again, such as the output of ``rk4_step``.
+    has checked every value of the row finite, the row is one-dimensional
+    float64, and _families pairs the shapes up by construction.  The row
+    must be one that nothing writes to again, such as a row of a finished
+    path.
     """
     ps = object.__new__(PeakonState)
-    q, m_amp, r, n_amp = _families(y, count)
-    ps.__dict__.update(t=t, q=q, m_amp=m_amp, r=r, n_amp=n_amp)
+    q, m_amp, r, n_amp = _families(row[1:], count)
+    ps.__dict__.update(t=float(row[0]), q=q, m_amp=m_amp, r=r, n_amp=n_amp)
     return ps
 
 
-def evolve_peakons(
+def evolve_peakon_path(
     ps: PeakonState, t_end: float, dt: float, *, blowup_factor: float = 1e6
-) -> list[PeakonState]:
-    """Fixed-step RK4 march; returns the state after every step.
+) -> np.ndarray:
+    """Fixed-step RK4 march into one path array, one row per sample.
 
-    The steps are the ``march.substeps`` of t_end - t, landing on t_end
-    exactly.  The march holds the state as one flat array (q, m_amp, r,
-    n_amp) and carries each step's pair signs into the next; steps are
-    subdivided across peakon collisions (see _step_smooth) so the sampled
-    trajectory keeps fourth-order accuracy through amplitude exchanges.
-    After each full step, and only there, the stepped values are checked:
-    a non-finite value, or an amplitude beyond blowup_factor * max(1,
-    initial amplitude scale), raises BlowUpError with the trajectory up to
-    the step before.  Each kept state is then built once, without copying.
+    Row k is (t, q..., m_amp..., r..., n_amp...) after k steps, row 0 the
+    start, so the path has shape (steps + 1, 1 + 2M + 2N).  The steps are
+    the ``march.substeps`` of t_end - t, landing on t_end exactly.  The
+    march holds the state as one flat array and carries each step's pair
+    signs into the next; steps are subdivided across peakon collisions (see
+    _step_smooth) so the sampled path keeps fourth-order accuracy through
+    amplitude exchanges.  After each full step, and only there, the stepped
+    values are checked: a non-finite value, or an amplitude beyond
+    blowup_factor * max(1, initial amplitude scale), raises BlowUpError
+    whose ``trajectory`` is the path up to the step before and whose
+    ``state`` is that path's last row as a PeakonState.
     """
     if dt <= 0.0 or not np.isfinite(dt):
         raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
@@ -248,29 +257,67 @@ def evolve_peakons(
     amp0 = max((float(np.max(np.abs(a))) for a in (ps.m_amp, ps.n_amp) if a.size),
                default=0.0)
     threshold = blowup_factor * max(1.0, amp0)
-    traj = [ps]
-    if t_end == ps.t:
-        return traj
-    n_steps, dt_eff = substeps(t_end - ps.t, dt)
+    n_steps, dt_eff = substeps(t_end - ps.t, dt) if t_end > ps.t else (0, 0.0)
     count = ps.q.size
     n_start = 2 * count + ps.r.size
     t, y = ps.t, _flat(ps)
+    path = np.empty((n_steps + 1, 1 + y.size))
+    path[0, 0], path[0, 1:] = t, y
     signs = _pair_signs(y, count)
     for k in range(n_steps):
         t, y, signs = _step_smooth(t, y, signs, dt_eff, count)
         values = y.tolist()
         if not all(map(isfinite, values)):
             raise BlowUpError(f"non-finite peakon state at t = {t:.6g}",
-                              state=traj[-1], trajectory=traj)
+                              state=_checked_state(path[k], count), trajectory=path[:k + 1])
         peak = max(map(abs, values[count:2 * count] + values[n_start:]), default=0.0)
         if peak > threshold:
             raise BlowUpError(
                 f"peakon amplitude {peak:.3e} exceeded the blow-up threshold "
                 f"{threshold:.3e} at t = {t:.6g}",
-                state=traj[-1], trajectory=traj,
+                state=_checked_state(path[k], count), trajectory=path[:k + 1],
             )
-        traj.append(_checked_state(float(t_end) if k == n_steps - 1 else t, y, count))
-    return traj
+        path[k + 1, 0] = float(t_end) if k == n_steps - 1 else t
+        path[k + 1, 1:] = y
+    return path
+
+
+def evolve_peakons(
+    ps: PeakonState, t_end: float, dt: float, *, blowup_factor: float = 1e6
+) -> list[PeakonState]:
+    """Fixed-step RK4 march; returns ``ps`` and the state after every step.
+
+    The list form of evolve_peakon_path, with the same steps, checks and
+    errors: each later state is a view of one path row.  A BlowUpError
+    carries the states before the failed step as its ``trajectory`` and the
+    last of them as its ``state``.
+    """
+    count = ps.q.size
+    try:
+        path = evolve_peakon_path(ps, t_end, dt, blowup_factor=blowup_factor)
+    except BlowUpError as err:
+        traj = [ps] + [_checked_state(row, count) for row in err.trajectory[1:]]
+        raise BlowUpError(str(err), state=traj[-1], trajectory=traj) from None
+    return [ps] + [_checked_state(row, count) for row in path[1:]]
+
+
+def peakon_path_invariants(path: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Hamiltonian, amplitude total) of every row of a path with ``count``
+    m-peakons, each computed in one pass over the whole path.
+
+    The Hamiltonian keeps peakon_hamiltonian's association m @ K @ n, so each
+    value is bitwise the one-state value; the total is sum(m) + sum(n).  A
+    path with an empty family has a Hamiltonian of 0.0 throughout.
+    """
+    states = path[:, 1:]
+    mid = (states.shape[1] + 2 * count) // 2
+    q, m_amp = states[:, :count], states[:, count:2 * count]
+    r, n_amp = states[:, 2 * count:mid], states[:, mid:]
+    total = m_amp.sum(axis=1) + n_amp.sum(axis=1)
+    if count == 0 or r.shape[1] == 0:
+        return np.zeros(len(path)), total
+    kmat = kernel(q[:, :, None] - r[:, None, :])
+    return (m_amp[:, None, :] @ kmat @ n_amp[:, :, None])[:, 0, 0], total
 
 
 def waltz_period_closed_form(m1: float, n1: float, separation: float) -> float:
@@ -293,20 +340,6 @@ def waltz_period_closed_form(m1: float, n1: float, separation: float) -> float:
             "equal amplitudes at zero separation form a stationary pair (no orbit)"
         )
     return 16.0 * sqrt(1.0 - w_star) / (abs(total) * w_star)
-
-
-def _interp_at(times: np.ndarray, series: np.ndarray, t: float) -> float:
-    """Quadratic (three-point) interpolation of a sampled series."""
-    idx = int(np.searchsorted(times, t))
-    idx = min(max(idx, 1), len(times) - 2)
-    ts = times[idx - 1: idx + 2]
-    ys = series[idx - 1: idx + 2]
-    w = [
-        (t - ts[1]) * (t - ts[2]) / ((ts[0] - ts[1]) * (ts[0] - ts[2])),
-        (t - ts[0]) * (t - ts[2]) / ((ts[1] - ts[0]) * (ts[1] - ts[2])),
-        (t - ts[0]) * (t - ts[1]) / ((ts[2] - ts[0]) * (ts[2] - ts[1])),
-    ]
-    return float(ys[0] * w[0] + ys[1] * w[1] + ys[2] * w[2])
 
 
 def _refine_crossing(times: np.ndarray, c: np.ndarray, i: int) -> float:
@@ -344,29 +377,34 @@ def _refine_crossing(times: np.ndarray, c: np.ndarray, i: int) -> float:
     return lo + 0.5 * (x0 + x1)
 
 
-def measure_waltz(traj: list[PeakonState]) -> tuple[float, float]:
-    """(period, swap_error) of a waltzing single pair from a dense trajectory.
+def measure_waltz_path(path: np.ndarray) -> tuple[float, float]:
+    """(period, swap_error) of a waltzing single pair from a dense path.
 
-    The orbit in the (q - r, m1 - n1) plane winds around its center once
-    per period.  The unwrapped orbit phase locates the half turn and the
-    full turn; each instant is then refined as the root of the smooth
-    cross product z(t) w0 - w(t) z0 (which vanishes exactly when the orbit
-    passes the antipode of the start, and again on return to the start).
-    The swap error compares the amplitudes at half period against the
-    initial amplitudes of the *other* family:
+    ``path`` has one row (t, q, m_amp, r, n_amp) per sample, as
+    evolve_peakon_path returns for one peakon per family.  The orbit in the
+    (q - r, m1 - n1) plane winds around its center once per period.  The
+    unwrapped orbit phase locates the half turn and the full turn; each
+    instant is then refined as the root of the smooth cross product
+    z(t) w0 - w(t) z0 (which vanishes exactly when the orbit passes the
+    antipode of the start, and again on return to the start).  The swap
+    error compares the amplitudes at half period against the initial
+    amplitudes of the *other* family:
 
         swap_error = |m1(T/2) - n1(0)| + |n1(T/2) - m1(0)|,
 
     which the orbit's point symmetry makes exactly zero in continuum time.
-    Trajectories shorter than one full orbit raise MeasurementError.
+    The amplitudes at T/2 come from one march step from the last sample at
+    or before it, with that sample's spacing as dt, so a collision near the
+    half period is stepped through, not interpolated across.  Paths shorter
+    than one full orbit raise MeasurementError.
     """
-    if len(traj) < 8:
+    if len(path) < 8:
         raise MeasurementError("trajectory too short to measure an orbit")
-    if traj[0].q.size != 1 or traj[0].r.size != 1:
+    if path.shape[1] != 5:
         raise ValueError("waltz measurement needs exactly one peakon per family")
-    times = np.array([s.t for s in traj])
-    z = np.array([float(s.q[0] - s.r[0]) for s in traj])
-    w = np.array([float(s.m_amp[0] - s.n_amp[0]) for s in traj])
+    times = path[:, 0]
+    z = path[:, 1] - path[:, 3]
+    w = path[:, 2] - path[:, 4]
     z_scale = float(np.max(np.abs(z)))
     w_scale = float(np.max(np.abs(w)))
     if z_scale <= 1e-13 and w_scale <= 1e-13:
@@ -391,9 +429,24 @@ def measure_waltz(traj: list[PeakonState]) -> tuple[float, float]:
     t_full = _refine_crossing(times, cross, i_full)
     period = t_full - float(times[0])
 
-    m_series = np.array([float(s.m_amp[0]) for s in traj])
-    n_series = np.array([float(s.n_amp[0]) for s in traj])
-    m_half = _interp_at(times, m_series, t_half)
-    n_half = _interp_at(times, n_series, t_half)
-    swap_error = abs(m_half - n_series[0]) + abs(n_half - m_series[0])
-    return period, swap_error
+    i = int(np.searchsorted(times, t_half, side="right")) - 1
+    half = path[i]
+    if half[0] < t_half:
+        start = PeakonState(float(half[0]), half[1], half[2], half[3], half[4])
+        half = evolve_peakon_path(start, t_half, float(times[i + 1] - half[0]))[-1]
+    swap_error = abs(half[2] - path[0, 4]) + abs(half[4] - path[0, 2])
+    return period, float(swap_error)
+
+
+def measure_waltz(traj: list[PeakonState]) -> tuple[float, float]:
+    """(period, swap_error) of a waltzing single pair from a dense trajectory.
+
+    The list form of measure_waltz_path: the states are stacked into a
+    path, one row per state.  Trajectories shorter than one full orbit
+    raise MeasurementError; states with other than one peakon per family
+    raise ValueError.
+    """
+    if traj and (traj[0].q.size != 1 or traj[0].r.size != 1):
+        raise ValueError("waltz measurement needs exactly one peakon per family")
+    rows = ((s.t, s.q[0], s.m_amp[0], s.r[0], s.n_amp[0]) for s in traj)
+    return measure_waltz_path(np.fromiter(rows, dtype=(np.float64, 5), count=len(traj)))

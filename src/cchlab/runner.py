@@ -41,6 +41,13 @@ class RunResult:
     records: list[diag.DiagnosticsRecord] = field(default_factory=list)
 
 
+# Rows per writerows call of a float table.  The csv module writes a Python
+# float as str(x), which is repr(x), the form _fmt writes; converting the
+# table with tolist() block by block keeps the Python floats of only one
+# block alive at a time.
+_CSV_BLOCK_ROWS = 1024
+
+
 def _fmt(x: Optional[float]) -> str:
     if x is None:
         return ""
@@ -100,14 +107,16 @@ def _write_field_snapshots(path: str, snaps: list[tuple[float, solver.PdeState]]
                         state.n.values.real, state.n.values.imag]
             else:
                 cols = [u.values, v.values, state.m.values, state.n.values]
-            for j, x in enumerate(state.grid.nodes):
-                writer.writerow([_fmt(t), _fmt(x)] + [_fmt(c[j]) for c in cols])
+            nodes = state.grid.nodes
+            writer.writerows(np.column_stack(
+                [np.full(nodes.size, float(t)), nodes] + cols).tolist())
 
 
-def _drift(values: list[float], scale: float = 1e-14) -> float:
+def _drift(values: np.ndarray | list[float], scale: float = 1e-14) -> float:
     """Largest deviation from the first value, relative to max(|first|, scale)."""
-    ref = max(abs(values[0]), scale)
-    return max(abs(v - values[0]) for v in values) / ref
+    values = np.asarray(values)
+    ref = max(abs(float(values[0])), scale)
+    return float(np.max(np.abs(values - values[0]))) / ref
 
 
 def _run_field_scenario(cfg: ScenarioConfig) -> RunResult:
@@ -184,37 +193,35 @@ def _run_peakon_scenario(cfg: ScenarioConfig) -> RunResult:
     summary: list[str] = []
     status = 0
     try:
-        traj = pk.evolve_peakons(ps, cfg.t_end, cfg.dt,
-                                 blowup_factor=cfg.blowup_threshold)
+        path = pk.evolve_peakon_path(ps, cfg.t_end, cfg.dt,
+                                     blowup_factor=cfg.blowup_threshold)
     except BlowUpError as err:
-        traj = err.trajectory or [ps]
+        path = err.trajectory
         status = 2
         summary.append(f"BLOW-UP: {err}")
 
-    hams = [pk.peakon_hamiltonian(s) for s in traj]
-    totals = [float(np.sum(s.m_amp) + np.sum(s.n_amp)) for s in traj]
+    m_count, n_count = ps.q.size, ps.r.size
+    hams, totals = pk.peakon_path_invariants(path, m_count)
     with open(cfg.out, "w", newline="") as handle:
         writer = csv.writer(handle)
-        m_count, n_count = ps.q.size, ps.r.size
         header = (["t", "hamiltonian", "amp_total"]
                   + [f"q_{a}" for a in range(m_count)]
                   + [f"m_amp_{a}" for a in range(m_count)]
                   + [f"r_{b}" for b in range(n_count)]
                   + [f"n_amp_{b}" for b in range(n_count)])
         writer.writerow(header)
-        for s, ham, total in zip(traj, hams, totals):
-            writer.writerow(
-                [_fmt(s.t), _fmt(ham), _fmt(total)]
-                + [_fmt(x) for x in s.q] + [_fmt(x) for x in s.m_amp]
-                + [_fmt(x) for x in s.r] + [_fmt(x) for x in s.n_amp])
+        for lo in range(0, len(path), _CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+            writer.writerows(np.column_stack(
+                (path[rows, 0], hams[rows], totals[rows], path[rows, 1:])).tolist())
 
-    summary.append(f"samples: {len(traj)}   (CSV: {cfg.out})")
+    summary.append(f"samples: {len(path)}   (CSV: {cfg.out})")
     summary.append(f"amplitude total {totals[0]:g}: max |drift| "
-                   f"{max(abs(v - totals[0]) for v in totals):.3e}")
+                   f"{np.max(np.abs(totals - totals[0])):.3e}")
     summary.append(f"hamiltonian drift: {_drift(hams):.3e}")
-    if ps.q.size == 1 and ps.r.size == 1 and status == 0:
+    if m_count == 1 and n_count == 1 and status == 0:
         try:
-            period, swap_error = pk.measure_waltz(traj)
+            period, swap_error = pk.measure_waltz_path(path)
             summary.append(f"waltz period: {period:.6g}   swap error: {swap_error:.3e}")
         except MeasurementError as err:
             summary.append(f"waltz period: not measured ({err})")

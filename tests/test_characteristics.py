@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cchlab.characteristics import (CharacteristicSet, advect,
-                                    init_characteristics, pullback_residual,
-                                    support_bounds)
+from cchlab.characteristics import (CharacteristicSet, advance_with_stages,
+                                    advect, init_characteristics,
+                                    pullback_residual, support_bounds)
 from cchlab.errors import DomainTooSmallError
 from cchlab.grid import Field, make_grid
 from cchlab.solver import PdeState, evolve
@@ -46,6 +46,24 @@ def test_set_validation():
         CharacteristicSet(0.0, labels, labels, labels, -ones, ones)
     with pytest.raises(ValueError):
         CharacteristicSet(0.0, labels, labels[:2], labels, ones, ones)
+
+
+def test_stepped_sets_share_the_read_only_labels(grid_small):
+    cs = init_characteristics(grid_small)
+    u, v = _constant_fields(grid_small, 0.3, -0.2)
+    out = advect(advect(cs, u, v, 0.1), u, v, 0.1)
+    assert out.labels is cs.labels and not cs.labels.flags.writeable
+    for a in (out.phi, out.xi, out.phi_x, out.xi_x):
+        assert a.shape == cs.labels.shape and a.dtype == np.float64
+
+
+def test_underflowed_jacobian_is_rejected(grid_small):
+    # A log-Jacobian of -1000 underflows exp to 0, which no flow may reach.
+    cs = init_characteristics(grid_small)
+    zero = np.zeros(grid_small.n_points)
+    stage = (zero, zero, zero, np.full(grid_small.n_points, -1e6))
+    with pytest.raises(ValueError, match="Jacobians must be positive"):
+        advance_with_stages(cs, grid_small, [stage] * 4, 1e-3)
 
 
 # -------------------------------------------------------------------- advection

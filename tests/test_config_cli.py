@@ -21,8 +21,9 @@ from cchlab.config import (PDE_MODES, ScenarioConfig, build_grid,
                            build_initial_condition, parse_config,
                            parse_float_list, serialize_config)
 from cchlab.diagnostics import CSV_COLUMNS
-from cchlab.errors import ConfigurationError
+from cchlab.errors import BlowUpError, ConfigurationError
 from cchlab.grid import make_grid
+from cchlab.peakons import PeakonState, evolve_peakons, peakon_hamiltonian
 
 from conftest import bump_values
 
@@ -354,6 +355,39 @@ def test_non_finite_peakon_state_exits_2_with_partial_output(tmp_path, capsys, m
     _, rows = read_rows(tmp_path / "nan.csv")
     assert len(rows) == 11  # t = 0 and the ten finite steps
     assert float(rows[-1][0]) == pytest.approx(0.01, abs=1e-15)
+
+
+def _reference_peakon_csv(path, text):
+    """The peakon run's CSV, written one state and one repr(float(x)) at a time."""
+    cfg = parse_config(text)
+    ps = PeakonState(0.0, *(parse_float_list(v) for v in (cfg.q, cfg.m_amps, cfg.r, cfg.n_amps)))
+    try:
+        traj = evolve_peakons(ps, cfg.t_end, cfg.dt, blowup_factor=cfg.blowup_threshold)
+    except BlowUpError as err:
+        traj = err.trajectory
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "hamiltonian", "amp_total"]
+                        + [f"q_{a}" for a in range(ps.q.size)]
+                        + [f"m_amp_{a}" for a in range(ps.q.size)]
+                        + [f"r_{b}" for b in range(ps.r.size)]
+                        + [f"n_amp_{b}" for b in range(ps.r.size)])
+        for s in traj:
+            values = [s.t, peakon_hamiltonian(s), np.sum(s.m_amp) + np.sum(s.n_amp),
+                      *s.q, *s.m_amp, *s.r, *s.n_amp]
+            writer.writerow([repr(float(x)) for x in values])
+
+
+@pytest.mark.parametrize("text, status", [
+    ("kind=peakon q=-1,0,1 m_amps=1,2,1 r=-0.5,0.5 n_amps=1,1.5\nt_end = 5\ndt = 1e-3\n", 0),
+    ("kind=peakon q=0 m_amps=2 r=1 n_amps=-1\nt_end = 5\ndt = 1e-3\n"
+     "blowup_threshold = 1.2\n", 2),
+])
+def test_peakon_csv_is_the_per_state_csv_byte_for_byte(tmp_path, text, status):
+    path = write_cfg(tmp_path, text + "out = run.csv\n")
+    assert main(["run", path]) == status
+    _reference_peakon_csv(tmp_path / "reference.csv", text)
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_instability_exits_4_with_partial_output(tmp_path, capsys):

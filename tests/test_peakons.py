@@ -11,10 +11,11 @@ import cchlab.peakons as peakons_module
 from cchlab.errors import (BlowUpError, ConfigurationError, DomainTooSmallError,
                            MeasurementError)
 from cchlab.grid import green_kernel_eval, make_grid
-from cchlab.peakons import (PeakonState, evolve_peakons, kernel,
-                            kernel_derivative, measure_waltz, peakon_fields,
-                            peakon_hamiltonian, peakon_rhs,
-                            waltz_period_closed_form)
+from cchlab.peakons import (PeakonState, evolve_peakon_path, evolve_peakons,
+                            kernel, kernel_derivative, measure_waltz,
+                            measure_waltz_path, peakon_fields,
+                            peakon_hamiltonian, peakon_path_invariants,
+                            peakon_rhs, waltz_period_closed_form)
 
 LN2 = float(np.log(2.0))
 
@@ -116,6 +117,16 @@ def test_non_finite_state_raises_blowup_with_the_states_before_it(monkeypatch):
     assert len(calls) == 44  # the poisoned step was not subdivided
 
 
+def test_blowup_in_the_path_march_carries_the_partial_path():
+    ps = PeakonState(0.0, [0.0], [10.0], [5.0], [1.0])
+    with pytest.raises(BlowUpError, match="blow-up threshold") as info:
+        evolve_peakon_path(ps, 1.0, 1e-3, blowup_factor=0.01)
+    assert info.value.trajectory.shape == (1, 5)
+    assert info.value.trajectory[0].tolist() == [0.0, 0.0, 10.0, 5.0, 1.0]
+    state = info.value.state
+    assert state.t == 0.0 and state.m_amp.tolist() == [10.0] and state.r.tolist() == [5.0]
+
+
 # ----------------------------------------------------------------- the march
 
 def _oracle_rates(q, m, r, n):
@@ -197,6 +208,66 @@ def test_collision_step_is_subdivided(monkeypatch):
     assert max_error(evolve_peakons(ps, 0.1, 1e-2)) < 1e-6
     monkeypatch.setattr(peakons_module, "_KINK_SPLIT_DEPTH", 0)
     assert max_error(evolve_peakons(ps, 0.1, 1e-2)) > 1e-2
+
+
+WALTZ = PeakonState(0.0, [0.0], [10.0], [1.0], [1.0])
+# Collides repeatedly: 280 sub-steps are split on the way to t = 5 at dt = 1e-3.
+TRAIN_3X2 = PeakonState(0.0, [-1.0, 0.0, 1.0], [1.0, 2.0, 1.0], [-0.5, 0.5], [1.0, 1.5])
+
+
+@pytest.mark.parametrize("ps, t_end", [(WALTZ, 6.0), (TRAIN_3X2, 5.0)])
+def test_path_rows_are_the_listed_states_bit_for_bit(ps, t_end):
+    path = evolve_peakon_path(ps, t_end, 1e-2)
+    traj = evolve_peakons(ps, t_end, 1e-2)
+    assert path.shape == (len(traj), 1 + 2 * ps.q.size + 2 * ps.r.size)
+    assert path[-1, 0] == t_end
+    for row, s in zip(path, traj):
+        assert row[0] == s.t
+        assert row[1:].tobytes() == np.concatenate((s.q, s.m_amp, s.r, s.n_amp)).tobytes()
+
+
+def _random_train_path(rng, m_count, n_count, rows=40):
+    path = rng.normal(size=(rows, 1 + 2 * (m_count + n_count)))
+    path[:, 0] = np.arange(rows)
+    return path
+
+
+@pytest.mark.parametrize("make_path, count", [
+    (lambda: evolve_peakon_path(WALTZ, 6.0, 1e-2), 1),
+    (lambda: evolve_peakon_path(TRAIN_3X2, 5.0, 1e-2), 3),
+    (lambda: _random_train_path(np.random.default_rng(7), 8, 7), 8),
+    (lambda: evolve_peakon_path(PeakonState(0.0, [0.0, 1.0], [2.0, -1.0], [], []),
+                                0.1, 1e-2), 2),
+    (lambda: evolve_peakon_path(PeakonState(0.0, [], [], [0.5], [-1.0]), 0.1, 1e-2), 0),
+])
+def test_path_invariants_are_the_per_state_values_bit_for_bit(make_path, count):
+    path = make_path()
+    hams, totals = peakon_path_invariants(path, count)
+    width = path.shape[1] - 1
+    mid = (width + 2 * count) // 2 + 1
+    states = [PeakonState(row[0], row[1:1 + count], row[1 + count:1 + 2 * count],
+                          row[1 + 2 * count:mid], row[mid:]) for row in path]
+    want_hams = np.array([peakon_hamiltonian(s) for s in states])
+    want_totals = np.array([np.sum(s.m_amp) + np.sum(s.n_amp) for s in states])
+    assert hams.tobytes() == want_hams.tobytes()
+    assert totals.tobytes() == want_totals.tobytes()
+
+
+def test_path_waltz_measurement_is_the_list_measurement():
+    ps = PeakonState(0.0, [0.0], [10.0], [0.0], [1.0])
+    path = evolve_peakon_path(ps, 4.0, 1e-3)
+    assert measure_waltz_path(path) == measure_waltz(evolve_peakons(ps, 4.0, 1e-3))
+    with pytest.raises(ValueError):
+        measure_waltz_path(evolve_peakon_path(TRAIN_3X2, 0.1, 1e-2))
+
+
+def test_swap_error_across_a_collision_at_the_half_period():
+    # Starting 6.1e-4 apart, the pair collides within a sample of T/2; three-
+    # point interpolation across that kink read a swap error of 2.4e-3.
+    ps = PeakonState(0.0, [0.0], [10.0], [6.1e-4], [1.0])
+    period, swap_error = measure_waltz_path(evolve_peakon_path(ps, 6.5, 1e-3))
+    assert period == pytest.approx(waltz_period_closed_form(10.0, 1.0, 6.1e-4), abs=1e-6)
+    assert swap_error < 1e-5  # measured 3.0e-6
 
 
 # ------------------------------------------------------------------- orbits
