@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields as dataclass_fields, replace
 
 from .config import ScenarioConfig, parse_config
@@ -109,6 +108,10 @@ def _cmd_sweep(args) -> int:
     if workers == 1:
         outcomes = [_sweep_worker(cfg) for cfg in configs]
     else:
+        # Imported here: the pool pulls in multiprocessing, socket and
+        # logging, which every other verb would otherwise load for nothing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_sweep_worker, configs))
     worst = 0

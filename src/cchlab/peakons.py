@@ -128,7 +128,30 @@ def _families(y: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
 
 
 def _rates(y: np.ndarray, count: int) -> np.ndarray:
-    """Time derivative of the flat state (q, m_amp, r, n_amp)."""
+    """Time derivative of the flat state (q, m_amp, r, n_amp).
+
+    A state with one peakon per family is evaluated on Python floats: the
+    matrix form then spends nearly all its time dispatching NumPy calls on
+    1x1 arrays, and a pair has no sums, so the scalar form is the matrix
+    form bit for bit.  Two rules keep it so.  The kernel is
+    ``float(np.exp(...))``, not ``math.exp``, which rounds differently for
+    some arguments.  Each product gets ``+ 0.0``, because a 1x1 matmul
+    accumulates onto +0.0 and so never returns -0.0.  The sign comes from
+    comparisons and passes NaN through, as np.sign does.  Trains keep the
+    matrix form (_matrix_rates), whose matmuls amortise their cost.
+    """
+    if count == 1 and y.size == 4:
+        q, m_amp, r, n_amp = y.tolist()
+        d = q - r
+        k = 0.5 * float(np.exp(-abs(d)))
+        kp = -(1.0 if d > 0 else -1.0 if d < 0 else 0.0 if d == 0 else d) * k
+        return np.array((k * n_amp + 0.0, -m_amp * (kp * n_amp + 0.0),
+                         k * m_amp + 0.0, n_amp * (kp * m_amp + 0.0)))
+    return _matrix_rates(y, count)
+
+
+def _matrix_rates(y: np.ndarray, count: int) -> np.ndarray:
+    """_rates for any number of peakons per family, as matrix products."""
     q, m_amp, r, n_amp = _families(y, count)
     diff = q[:, None] - r[None, :]  # shape (M, N)
     kmat = kernel(diff)
@@ -248,7 +271,8 @@ def evolve_peakon_path(
     values are checked: a non-finite value, or an amplitude beyond
     blowup_factor * max(1, initial amplitude scale), raises BlowUpError
     whose ``trajectory`` is the path up to the step before and whose
-    ``state`` is that path's last row as a PeakonState.
+    ``state`` is that path's last row as a PeakonState.  A path too long to
+    allocate raises ConfigurationError naming its sample count.
     """
     if dt <= 0.0 or not np.isfinite(dt):
         raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
@@ -257,11 +281,16 @@ def evolve_peakon_path(
     amp0 = max((float(np.max(np.abs(a))) for a in (ps.m_amp, ps.n_amp) if a.size),
                default=0.0)
     threshold = blowup_factor * max(1.0, amp0)
-    n_steps, dt_eff = substeps(t_end - ps.t, dt) if t_end > ps.t else (0, 0.0)
     count = ps.q.size
     n_start = 2 * count + ps.r.size
     t, y = ps.t, _flat(ps)
-    path = np.empty((n_steps + 1, 1 + y.size))
+    try:
+        n_steps, dt_eff = substeps(t_end - ps.t, dt) if t_end > ps.t else (0, 0.0)
+        path = np.empty((n_steps + 1, 1 + y.size))
+    except (MemoryError, OverflowError, ValueError):  # too many, or infinitely many, rows
+        raise ConfigurationError(
+            f"a path of {(t_end - ps.t) / dt + 1:.6g} samples (t_end = {t_end!r}, "
+            f"dt = {dt!r}) does not fit in memory") from None
     path[0, 0], path[0, 1:] = t, y
     signs = _pair_signs(y, count)
     for k in range(n_steps):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import importlib
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -324,6 +325,20 @@ def test_sweep_fans_out_one_file_per_value(tmp_path, monkeypatch, capsys):
     assert main(["sweep", path, "--vary", "bogus=0:1:2"]) == 1
 
 
+def test_pool_sweep_writes_the_serial_sweeps_bytes(tmp_path, monkeypatch, capsys):
+    text = "kind=peakon q=0 m_amps=10 r=5 n_amps=1\nt_end = 0.2\nout = sweep.csv\n"
+    results = {}
+    for threads in ("1", "2"):  # 2 workers for 2 values: the process pool
+        run_dir = tmp_path / f"threads{threads}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        monkeypatch.setenv("CCCH_THREADS", threads)
+        assert main(["sweep", write_cfg(run_dir, text), "--vary", "r=4:5:2"]) == 0
+        results[threads] = (capsys.readouterr().out,
+                            [(run_dir / f"sweep_r{r}.csv").read_bytes() for r in (4, 5)])
+    assert results["2"] == results["1"]
+
+
 def test_blowup_exits_2_with_partial_output(tmp_path, capsys):
     path = write_cfg(tmp_path, (
         "kind=peakon q=0 m_amps=10 r=5 n_amps=1\n"
@@ -457,6 +472,24 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "entry 0.05 is not an output time" in capsys.readouterr().err
 
 
+def test_a_path_too_long_for_memory_exits_1_without_allocating_it(tmp_path, capsys):
+    # 1e13 samples of five floats are 364 TiB: the allocation fails at once,
+    # before any memory is committed, and the run reports it in one line.
+    path = write_cfg(tmp_path, (
+        "kind=peakon q=0 m_amps=10 r=1 n_amps=1\n"
+        "t_end = 1e7\ndt = 1e-6\nout = long.csv\n"
+    ))
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert main(["run", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("CONFIG ERROR:"), lines
+    assert "1e+13 samples" in lines[0]
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb < 100_000
+    assert not (tmp_path / "long.csv").exists()
+
+
 def test_console_script_is_installed(tmp_path):
     """The declared ``cchlab`` script resolves to the CLI's ``main``, and that
     CLI, run as its own process, validates a config.  Runs from the source
@@ -476,6 +509,19 @@ def test_console_script_is_installed(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "config OK" in proc.stdout, proc.stderr
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # Only a sweep on more than one worker needs the process pool.
+    src_dir = str(Path(cchlab.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src_dir, inherited] if inherited else [src_dir]))
+    code = "import sys, cchlab.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.skipif(shutil.which("cchlab") is None,

@@ -70,6 +70,24 @@ def test_total_amplitude_rate_always_cancels(q, r, data):
     assert abs(float(np.sum(rates.dm_amp) + np.sum(rates.dn_amp))) < 1e-12 * scale
 
 
+def test_pair_rates_are_the_matrix_rates_bit_for_bit():
+    # One peakon per family takes the scalar branch of _rates; it must give
+    # the matrix form's bits, sign of zero and NaN included, on random pairs
+    # with exact collisions (q = r) and special values mixed in.
+    rng = np.random.default_rng(7)
+    states = rng.normal(size=(100_000, 4)) * 10.0 ** rng.integers(-3, 4, size=(100_000, 4))
+    states[::5, 2] = states[::5, 0]
+    special = rng.random(states.shape) < 0.05
+    states[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=special.sum())
+    mismatches = []
+    with np.errstate(all="ignore"):  # the matrix form warns on inf and NaN
+        for y in states:
+            got, want = peakons_module._rates(y, 1), peakons_module._matrix_rates(y, 1)
+            if not np.array_equal(got.view(np.int64), want.view(np.int64)):
+                mismatches.append((y, got, want))
+    assert not mismatches, mismatches[:3]
+
+
 # --------------------------------------------------------------- validation
 
 def test_state_validation():
