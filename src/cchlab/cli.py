@@ -6,6 +6,9 @@ Verbs:
     sweep <config> --vary key=a:b:n      fan a scenario across parameter values
     check <config>                       validate a config without running
 
+Every verb's config passes the checks of check; sweep rejects an invalid
+point, or points sharing an output file, before it runs any.
+
 Exit codes: 0 = ok, 1 = configuration error, 2 = blow-up, 3 = measurement
 invalid (window too small / trajectory too short / characteristic ordering
 collapsed), 4 = unstable (time step above the advective stability bound
@@ -18,9 +21,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields as dataclass_fields, replace
+from dataclasses import replace
 
-from .config import ScenarioConfig, parse_config
+from .config import _KEY_TYPES, ScenarioConfig, parse_config
 from .errors import ConfigurationError
 from .runner import execute, run_scenario
 
@@ -56,8 +59,6 @@ def _cmd_peakons(args) -> int:
         r=repr(args.r0), n_amps=repr(args.n1),
         t_end=args.t_end, dt=args.dt, out=args.out,
     )
-    if cfg.dt <= 0 or cfg.t_end < 0:
-        raise ConfigurationError("t-end must be >= 0 and dt > 0")
     return run_scenario(cfg)
 
 
@@ -79,18 +80,16 @@ def _parse_vary(spec: str) -> tuple[str, list[float]]:
 
 
 def _vary_config(base: ScenarioConfig, key: str, value: float) -> ScenarioConfig:
-    names = {f.name: f for f in dataclass_fields(ScenarioConfig)}
-    if key not in names:
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
         raise ConfigurationError(f"--vary key '{key}' is not a config key")
-    current = getattr(base, key)
-    if isinstance(current, str) or current is None:
-        new_value: object = repr(value)  # list-valued keys (e.g. r) take one number
-    elif isinstance(current, int) and not isinstance(current, bool):
-        new_value = int(value)
-    else:
-        new_value = float(value)
     root, ext = os.path.splitext(base.out)
-    return replace(base, **{key: new_value, "out": f"{root}_{key}{value:g}{ext or '.csv'}"})
+    out = f"{root}_{key}{value:g}{ext or '.csv'}"
+    if kind == "int" and value.is_integer():
+        value = int(value)  # a fractional value stays a float, which the config rejects
+    elif kind not in ("int", "float"):
+        value = repr(value)  # list-valued keys (e.g. r) take one number
+    return replace(base, **{key: value, "out": out})
 
 
 def _sweep_worker(cfg: ScenarioConfig) -> tuple[int, list[str]]:
@@ -102,6 +101,12 @@ def _cmd_sweep(args) -> int:
     base = _load_config(args.config)
     key, values = _parse_vary(args.vary)
     configs = [_vary_config(base, key, v) for v in values]
+    writers: dict[str, int] = {}
+    for i, cfg in enumerate(configs):
+        first = writers.setdefault(cfg.out, i)
+        if first != i:
+            raise ConfigurationError(f"--vary values {values[first]!r} and {values[i]!r} "
+                                     f"both write {cfg.out!r}")
     cap = os.environ.get("CCCH_THREADS")
     workers = max(1, int(cap)) if cap else (os.cpu_count() or 1)
     workers = min(workers, len(configs))

@@ -14,10 +14,15 @@ are signed sums of named shapes:
 
 assigned to m0/n0 (momenta directly) or u0/v0 (velocities; the momenta are
 then computed spectrally as (1 - d^2/dx^2) u0).
+
+ScenarioConfig checks every value when built, naming the key in its error;
+parse_config checks only the document and adds the key's "line N: ".
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import re
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Optional
@@ -34,7 +39,6 @@ __all__ = [
     "build_initial_condition",
     "build_grid",
     "output_times",
-    "snapshot_time_list",
 ]
 
 KINDS = ("pde", "peakon", "complex", "characteristics")
@@ -43,7 +47,7 @@ PDE_MODES = ("coupled", "ch_reduction")
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description with defaults filled in."""
+    """Scenario description with defaults filled in, validated when built."""
 
     kind: str
     out: str = "run.csv"
@@ -73,37 +77,117 @@ class ScenarioConfig:
     r: Optional[str] = None
     n_amps: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise _key_error("kind", f"must be one of {KINDS}, got {self.kind!r}")
+        _check_keys_apply(self.kind, [f.name for f in dataclass_fields(self)
+                                      if getattr(self, f.name) != f.default])
+        for key, declared in _KEY_TYPES.items():
+            value = getattr(self, key)
+            if declared == "int" and not isinstance(value, numbers.Integral):
+                raise _key_error(key, f"expects an integer, got {value!r}")
+            if declared != "float":
+                continue
+            if not isinstance(value, numbers.Real):
+                raise _key_error(key, f"expects a number, got {value!r}")
+            if key == "t_end":
+                if not math.isfinite(value) or value < 0.0:
+                    raise _key_error(key, f"must be >= 0.0, got {value}")
+            elif not math.isfinite(value) or value <= 0.0:
+                raise _key_error(key, f"must be positive, got {value}")
+        if self.label_stride < 1:
+            raise _key_error("label_stride", "must be >= 1")
+        if self.n_points < 16 or (self.n_points & (self.n_points - 1)) != 0:
+            raise _key_error("n_points", f"must be a power of two >= 16, got {self.n_points}")
+
+        if self.kind == "peakon":
+            lists = {}
+            for key in _PEAKON_ONLY:
+                if getattr(self, key) is None:
+                    raise ConfigurationError(f"missing required key '{key}' for kind=peakon")
+                lists[key] = parse_float_list(getattr(self, key), key)
+                if not all(map(math.isfinite, lists[key])):
+                    raise _key_error(key, f"must hold finite numbers, got {getattr(self, key)!r}")
+            for positions, amps in (("q", "m_amps"), ("r", "n_amps")):
+                if len(lists[positions]) != len(lists[amps]):
+                    raise _key_error(amps, f"must pair one amplitude per position in {positions}")
+            return
+
+        if self.m0 is None and self.u0 is None:
+            raise ConfigurationError("missing initial condition: provide 'm0' or 'u0'")
+        if self.m0 is not None and self.u0 is not None:
+            raise _key_error("u0", "conflicts with 'm0'; give one target")
+        if self.n0 is not None and self.v0 is not None:
+            raise _key_error("v0", "conflicts with 'n0'; give one target")
+        modes = ("complex_conjugate",) if self.kind == "complex" else PDE_MODES
+        if self.mode not in modes:
+            raise _key_error("mode", f"must be one of {modes}, got {self.mode!r}")
+        if self.kind == "complex":
+            for key in ("m0", "n0", "v0"):
+                if getattr(self, key) is not None:
+                    raise _key_error(key, "does not apply to kind=complex (the conjugate "
+                                          "pair is built from u0 and u0_im)")
+        else:
+            if self.u0_im is not None:
+                raise _key_error("u0_im", "applies only to kind=complex")
+            if self.mode == "ch_reduction" and (self.n0 is not None or self.v0 is not None):
+                raise _key_error("n0" if self.n0 is not None else "v0",
+                                 "mode=ch_reduction derives the pair from the m-side")
+        for key in ("m0", "n0", "u0", "v0", "u0_im"):
+            if getattr(self, key) is not None:
+                _parse_shapes(getattr(self, key), key)
+        requested = parse_float_list(self.snapshot_times, "snapshot_times")
+        times = output_times(self) if requested else []
+        for ts in requested:
+            if not any(abs(ts - t) <= _SNAPSHOT_TOL for t in times):
+                raise _key_error(
+                    "snapshot_times",
+                    f"entry {ts!r} is not an output time (0, multiples of "
+                    f"output_every = {self.output_every!r} and t_end = {self.t_end!r})")
+
 
 # Every key with its annotation, in field order; under postponed evaluation
 # the annotations are the strings "float", "int", "str" and "Optional[str]".
 _KEY_TYPES = {f.name: f.type for f in dataclass_fields(ScenarioConfig)}
-_FLOAT_KEYS = [key for key, kind in _KEY_TYPES.items() if kind == "float"]
 
-_PEAKON_ONLY = {"q", "m_amps", "r", "n_amps"}
+_PEAKON_ONLY = ("q", "m_amps", "r", "n_amps")
 _FIELD_ONLY = {
     "half_length", "n_points", "output_every", "mode",
     "m0", "n0", "u0", "v0", "u0_im",
     "epsilon_support", "tail_tolerance", "snapshot_times", "label_stride",
 }
 
+# Defaults that differ by kind, filled in by parse_config.
+_KIND_DEFAULTS = {"peakon": {"t_end": 20.0}, "complex": {"mode": "complex_conjugate"}}
 
-def _convert(key: str, raw: str, lineno: int):
-    kind = _KEY_TYPES[key]
-    try:
-        return {"float": float, "int": int}.get(kind, str)(raw)
-    except ValueError:
-        expected = "an integer" if kind == "int" else "a number"
-        raise ConfigurationError(
-            f"line {lineno}: key '{key}' expects {expected}, got {raw!r}"
-        ) from None
+# Distance within which a snapshot time names an output time.
+_SNAPSHOT_TOL = 1e-9
+
+
+def _key_error(key: str, message: str) -> ConfigurationError:
+    err = ConfigurationError(f"key '{key}' {message}")
+    err.key = key  # lets parse_config name the line the key was written on
+    return err
+
+
+def _check_keys_apply(kind: str, keys) -> None:
+    """Reject the first (alphabetically) of ``keys`` that ``kind`` does not use."""
+    if kind == "peakon":
+        foreign, message = _FIELD_ONLY, "does not apply to kind=peakon"
+    else:
+        foreign, message = _PEAKON_ONLY, "applies only to kind=peakon"
+    bad = sorted(set(keys).intersection(foreign))
+    if bad:
+        raise _key_error(bad[0], message)
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a key=value document, filling defaults.
+    """Parse a key=value document into a validated config, filling defaults.
 
-    Unknown keys, missing required keys, malformed values, and keys that do
-    not apply to the scenario kind all raise ConfigurationError naming the
-    key and line.
+    Syntax errors, unknown, duplicate and missing keys, malformed values,
+    keys that do not apply to the scenario kind, and every value that
+    ScenarioConfig rejects raise ConfigurationError naming the key and its
+    line.
     """
     pairs: dict[str, object] = {}
     key_lines: dict[str, int] = {}
@@ -133,125 +217,40 @@ def parse_config(text: str) -> ScenarioConfig:
                 raise ConfigurationError(f"line {lineno}: unknown key '{key}'")
             if key in pairs:
                 raise ConfigurationError(f"line {lineno}: duplicate key '{key}'")
-            pairs[key] = _convert(key, value, lineno)
+            try:
+                pairs[key] = {"float": float, "int": int}.get(_KEY_TYPES[key], str)(value)
+            except ValueError:  # kept as text: ScenarioConfig names the type it expects
+                pairs[key] = value
             key_lines[key] = lineno
-    return _validate(pairs, key_lines)
-
-
-def _fail_key(key: str, key_lines: dict[str, int], message: str) -> ConfigurationError:
-    where = f"line {key_lines[key]}: " if key in key_lines else ""
-    return ConfigurationError(f"{where}key '{key}' {message}")
-
-
-def _validate(pairs: dict[str, object], key_lines: dict[str, int]) -> ScenarioConfig:
     if "kind" not in pairs:
         raise ConfigurationError("missing required key 'kind'")
-    kind = pairs["kind"]
-    if kind not in KINDS:
-        raise _fail_key("kind", key_lines, f"must be one of {KINDS}, got {kind!r}")
-
-    if kind == "peakon":
-        bad = sorted(set(pairs) & _FIELD_ONLY)
-        if bad:
-            raise _fail_key(bad[0], key_lines, "does not apply to kind=peakon")
-        for req in ("q", "m_amps", "r", "n_amps"):
-            if req not in pairs:
-                raise ConfigurationError(f"missing required key '{req}' for kind=peakon")
-            _parse_float_list(pairs[req], req, key_lines)
-        if len(_parse_float_list(pairs["q"], "q", key_lines)) != len(
-                _parse_float_list(pairs["m_amps"], "m_amps", key_lines)):
-            raise _fail_key("m_amps", key_lines, "must pair one amplitude per position in q")
-        if len(_parse_float_list(pairs["r"], "r", key_lines)) != len(
-                _parse_float_list(pairs["n_amps"], "n_amps", key_lines)):
-            raise _fail_key("n_amps", key_lines, "must pair one amplitude per position in r")
-        pairs.setdefault("t_end", 20.0)
-    else:
-        bad = sorted(set(pairs) & _PEAKON_ONLY)
-        if bad:
-            raise _fail_key(bad[0], key_lines, f"applies only to kind=peakon")
-        ic_keys = [k for k in ("m0", "u0") if k in pairs]
-        if not ic_keys:
-            raise ConfigurationError(
-                "missing initial condition: provide 'm0' or 'u0'"
-            )
-        if "m0" in pairs and "u0" in pairs:
-            raise _fail_key("u0", key_lines, "conflicts with 'm0'; give one target")
-        if "n0" in pairs and "v0" in pairs:
-            raise _fail_key("v0", key_lines, "conflicts with 'n0'; give one target")
-        mode = pairs.get("mode", "coupled")
-        if kind == "complex":
-            pairs["mode"] = "complex_conjugate"
-            for k in ("n0", "v0"):
-                if k in pairs:
-                    raise _fail_key(k, key_lines,
-                                    "does not apply to kind=complex (pair is conjugate)")
-        else:
-            if mode not in PDE_MODES:
-                raise _fail_key("mode", key_lines, f"must be one of {PDE_MODES}")
-            if "u0_im" in pairs:
-                raise _fail_key("u0_im", key_lines, "applies only to kind=complex")
-            if mode == "ch_reduction" and ("n0" in pairs or "v0" in pairs):
-                raise _fail_key("n0" if "n0" in pairs else "v0", key_lines,
-                                "mode=ch_reduction derives the pair from the m-side")
-        for shape_key in ("m0", "n0", "u0", "v0", "u0_im"):
-            if shape_key in pairs:
-                _parse_shapes(pairs[shape_key], shape_key, key_lines)
-
-    for key in (k for k in _FLOAT_KEYS if k in pairs):
-        val = pairs[key]
-        if key == "t_end":
-            if not np.isfinite(val) or val < 0.0:
-                raise _fail_key(key, key_lines, f"must be >= 0.0, got {val}")
-        elif not np.isfinite(val) or val <= 0.0:
-            raise _fail_key(key, key_lines, f"must be positive, got {val}")
-    if "label_stride" in pairs and pairs["label_stride"] < 1:
-        raise _fail_key("label_stride", key_lines, "must be >= 1")
-    if "n_points" in pairs:
-        n = pairs["n_points"]
-        if n < 16 or (n & (n - 1)) != 0:
-            raise _fail_key("n_points", key_lines,
-                            f"must be a power of two >= 16, got {n}")
-    if "snapshot_times" in pairs and pairs["snapshot_times"]:
-        _parse_float_list(pairs["snapshot_times"], "snapshot_times", key_lines)
-
-    cfg = ScenarioConfig(**{k: v for k, v in pairs.items() if k in _KEY_TYPES})
-    _check_snapshot_times(cfg, key_lines)
+    try:
+        cfg = ScenarioConfig(**{**_KIND_DEFAULTS.get(pairs["kind"], {}), **pairs})
+        # A key written at its default value is still one the kind does not use.
+        _check_keys_apply(cfg.kind, pairs)
+    except ConfigurationError as err:
+        line = key_lines.get(getattr(err, "key", None))
+        if line is None:
+            raise
+        raise ConfigurationError(f"line {line}: {err}") from None
     return cfg
 
 
-# Distance within which a snapshot time names an output time.
-_SNAPSHOT_TOL = 1e-9
-
-
 def output_times(cfg: ScenarioConfig) -> list[float]:
-    """Times at which a field scenario records: 0, every output_every, and t_end."""
+    """Times at which a field scenario records: 0, every output_every, and
+    t_end.  A list too long to allocate raises ConfigurationError naming its count."""
     if cfg.t_end <= 0.0:
         return [0.0]
-    times = list(np.arange(0.0, cfg.t_end + 1e-12, cfg.output_every))
+    try:
+        times = np.arange(0.0, cfg.t_end + 1e-12, cfg.output_every).tolist()
+    except (MemoryError, OverflowError, ValueError):  # too many, or infinitely many, times
+        raise ConfigurationError(
+            f"a time list of {cfg.t_end / cfg.output_every + 1:.6g} output times (t_end = "
+            f"{cfg.t_end!r}, output_every = {cfg.output_every!r}) does not fit in memory"
+        ) from None
     if not times or abs(times[-1] - cfg.t_end) > 1e-12:
         times.append(cfg.t_end)
-    return [float(t) for t in times]
-
-
-def _check_snapshot_times(cfg: ScenarioConfig, key_lines: dict[str, int]) -> list[float]:
-    requested = _parse_float_list(cfg.snapshot_times, "snapshot_times", key_lines)
-    if not requested:
-        return []
-    times = output_times(cfg)
-    for ts in requested:
-        if not any(abs(ts - t) <= _SNAPSHOT_TOL for t in times):
-            raise _fail_key(
-                "snapshot_times", key_lines,
-                f"entry {ts!r} is not an output time (0, multiples of "
-                f"output_every = {cfg.output_every!r} and t_end = {cfg.t_end!r})")
-    return requested
-
-
-def snapshot_time_list(cfg: ScenarioConfig) -> list[float]:
-    """The config's snapshot times; ConfigurationError names any entry that
-    is not one of ``output_times(cfg)``, since no field block would be
-    written for it."""
-    return _check_snapshot_times(cfg, {})
+    return times
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
@@ -271,23 +270,22 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_float_list(raw: str, key: str, key_lines: dict[str, int]) -> list[float]:
+def parse_float_list(raw: str, key: str = "<value>") -> list[float]:
+    """Comma-separated floats ("0, 1.5, 2e-1"); empty string gives [].
+
+    A token that is not a number raises ConfigurationError naming ``key``.
+    """
     try:
         return [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
     except ValueError:
-        raise _fail_key(key, key_lines, f"expects comma-separated numbers, got {raw!r}") from None
-
-
-def parse_float_list(raw: str) -> list[float]:
-    """Comma-separated floats ("0, 1.5, 2e-1"); empty string gives []."""
-    return _parse_float_list(raw, "<value>", {})
+        raise _key_error(key, f"expects comma-separated numbers, got {raw!r}") from None
 
 
 _SHAPE_RE = re.compile(r"\s*([a-z_]+)\s*\(([^()]*)\)\s*")
 _SHAPE_ARITY = {"bump": 3, "gaussian": 3, "mollified_peakon": 3}
 
 
-def _parse_shapes(expr: str, key: str, key_lines: dict[str, int]):
+def _parse_shapes(expr: str, key: str):
     """Parse a signed sum of shape calls into [(sign, name, args), ...]."""
     terms = []
     rest = expr.strip()
@@ -298,32 +296,30 @@ def _parse_shapes(expr: str, key: str, key_lines: dict[str, int]):
     while rest:
         match = _SHAPE_RE.match(rest)
         if match is None:
-            raise _fail_key(key, key_lines, f"has malformed shape expression near {rest!r}")
+            raise _key_error(key, f"has malformed shape expression near {rest!r}")
         name, arg_text = match.group(1), match.group(2)
         if name not in _SHAPE_ARITY:
-            raise _fail_key(key, key_lines,
-                            f"names unknown shape '{name}' "
-                            f"(known: {sorted(_SHAPE_ARITY)})")
+            raise _key_error(key, f"names unknown shape '{name}' "
+                                  f"(known: {sorted(_SHAPE_ARITY)})")
         try:
             args = [float(a) for a in arg_text.split(",")]
         except ValueError:
-            raise _fail_key(key, key_lines,
-                            f"has non-numeric arguments in '{name}({arg_text})'") from None
+            raise _key_error(key, f"has non-numeric arguments in '{name}({arg_text})'") from None
+        if not all(map(math.isfinite, args)):
+            raise _key_error(key, f"has non-finite arguments in '{name}({arg_text})'")
         if len(args) != _SHAPE_ARITY[name]:
-            raise _fail_key(key, key_lines,
-                            f"shape '{name}' takes {_SHAPE_ARITY[name]} arguments, "
-                            f"got {len(args)}")
+            raise _key_error(key, f"shape '{name}' takes {_SHAPE_ARITY[name]} arguments, "
+                                  f"got {len(args)}")
         terms.append((sign, name, args))
         rest = rest[match.end():]
         if not rest:
             break
         if rest[0] not in "+-":
-            raise _fail_key(key, key_lines,
-                            f"expects '+' or '-' between shapes, found {rest!r}")
+            raise _key_error(key, f"expects '+' or '-' between shapes, found {rest!r}")
         sign = 1.0 if rest[0] == "+" else -1.0
         rest = rest[1:]
     if not terms:
-        raise _fail_key(key, key_lines, "has an empty shape expression")
+        raise _key_error(key, "has an empty shape expression")
     return terms
 
 
@@ -364,7 +360,7 @@ def _eval_shape(name: str, args: list[float], g: Grid) -> np.ndarray:
 
 def _eval_expression(expr: str, g: Grid) -> np.ndarray:
     out = np.zeros(g.n_points)
-    for sign, name, args in _parse_shapes(expr, "<ic>", {}):
+    for sign, name, args in _parse_shapes(expr, "<ic>"):
         out += sign * _eval_shape(name, args, g)
     return out
 
@@ -386,8 +382,6 @@ def build_initial_condition(cfg: ScenarioConfig, g: Grid) -> tuple[Field, Field]
         raise ConfigurationError("peakon scenarios have no field initial condition")
 
     if cfg.kind == "complex":
-        if cfg.u0 is None:
-            raise ConfigurationError("kind=complex requires a 'u0' initial condition")
         u_values = _eval_expression(cfg.u0, g).astype(np.complex128)
         if cfg.u0_im is not None:
             u_values = u_values + 1j * _eval_expression(cfg.u0_im, g)

@@ -6,13 +6,14 @@ weighted diagnostics, or tracked characteristics that left the window or
 whose ordering collapsed), 4 = unstable (the time step exceeded the
 advective stability bound during the march).  A blow-up, invalid
 measurement or instability met during a march still writes the output
-completed so far.
+completed so far.  A config has checked its values when built; a run can
+still meet a shape the grid rejects, or a time list or peakon path
+too long to allocate: status 1 and one CONFIG ERROR line, before any output.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -24,10 +25,9 @@ from . import diagnostics as diag
 from . import peakons as pk
 from . import solver
 from .config import (ScenarioConfig, build_grid, build_initial_condition,
-                     output_times, parse_float_list, snapshot_time_list)
+                     output_times, parse_float_list)
 from .errors import (BlowUpError, ConfigurationError, DomainTooSmallError,
                      MeasurementError, StabilityError)
-from .grid import Field
 
 __all__ = ["run_scenario", "execute", "RunResult"]
 
@@ -128,7 +128,7 @@ def _run_field_scenario(cfg: ScenarioConfig) -> RunResult:
     track = (chars.init_characteristics(g, stride=cfg.label_stride)
              if cfg.kind == "characteristics" else None)
     with_pullback = track is not None
-    snapshot_times = snapshot_time_list(cfg)
+    snapshot_times = parse_float_list(cfg.snapshot_times)
 
     records: list[diag.DiagnosticsRecord] = []
     field_snaps: list[tuple[float, solver.PdeState]] = []

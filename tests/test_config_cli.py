@@ -5,10 +5,12 @@ from __future__ import annotations
 import csv
 import importlib
 import os
+import re
 import resource
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +76,7 @@ def test_compact_one_line_form():
     assert parse_float_list(cfg.q) == [0.0]
 
 
-@pytest.mark.parametrize("text, fragment", [
+_REJECTIONS = [
     ("m0 = bump(0, 3, 1)\n", "missing required key 'kind'"),
     ("kind = wave\nm0 = bump(0, 3, 1)\n", "must be one of"),
     ("kind = pde\nm0 = bump(0, 3, 1)\nwavelength = 3\n", "line 3: unknown key 'wavelength'"),
@@ -91,6 +93,7 @@ def test_compact_one_line_form():
     ("kind=peakon q=0 m_amps=1 r=5\n", "missing required key 'n_amps'"),
     ("kind=peakon q=0,1 m_amps=1 r=5 n_amps=1\n", "one amplitude per position"),
     ("kind=peakon q=0 m_amps=one r=5 n_amps=1\n", "comma-separated numbers"),
+    ("kind=peakon q=nan m_amps=1 r=5 n_amps=1\n", "line 1: key 'q' must hold finite numbers"),
     ("kind = complex\nu0 = bump(0, 8, 1)\nn0 = bump(0, 3, 1)\n",
      "does not apply to kind=complex"),
     ("kind = pde\nmode = upwind\nm0 = bump(0, 3, 1)\n", "must be one of"),
@@ -108,16 +111,62 @@ def test_compact_one_line_form():
     ("kind = pde\nm0 = blob(0, 3, 1)\n", "unknown shape 'blob'"),
     ("kind = pde\nm0 = bump(0, 3)\n", "takes 3 arguments"),
     ("kind = pde\nm0 = bump(a, 3, 1)\n", "non-numeric arguments"),
+    ("kind = pde\nm0 = gaussian(0, 1, nan)\n", "line 2: key 'm0' has non-finite arguments"),
     ("kind = pde\nm0 = bump(0, 3, 1) bump(1, 3, 1)\n", "between shapes"),
     ("kind = pde\nm0 =\n", "empty shape expression"),
     ("kind = pde\nm0 = 1 + bump(0, 3, 1)\n", "malformed shape expression"),
     ("kind = pde\nm0 = bump(0, 3, 1)\nsnapshot_times = 0.05\n",
      "entry 0.05 is not an output time"),
-])
+    ("kind = complex\nmode = coupled\nu0 = bump(0, 8, 1)\n",
+     "line 2: key 'mode' must be one of ('complex_conjugate',)"),
+    ("kind = complex\nm0 = bump(0, 8, 1)\n",
+     "line 2: key 'm0' does not apply to kind=complex"),
+]
+
+
+@pytest.mark.parametrize("text, fragment", _REJECTIONS)
 def test_rejections_name_the_key_and_line(text, fragment):
     with pytest.raises(ConfigurationError) as info:
         parse_config(text)
     assert fragment in str(info.value)
+
+
+# Rejections of the document itself, which no built config can reproduce.
+_DOCUMENT_ERRORS = ("missing required key 'kind'", "unknown key", "duplicate key",
+                    "expected key=value", "not a key=value pair", "expects a number",
+                    "expects an integer")
+_VALID = {
+    "pde": parse_config(PDE_TEXT),
+    "peakon": parse_config("kind=peakon q=0 m_amps=1 r=5 n_amps=1\n"),
+    "complex": parse_config("kind = complex\nu0 = bump(0, 8, 1)\n"),
+}
+
+
+def _written_pairs(text):
+    """The typed key=value pairs of a well-formed document."""
+    pairs = {}
+    for line in text.splitlines():
+        for item in line.split() if line.count("=") >= 2 else [line]:
+            key, value = (part.strip() for part in item.split("=", 1))
+            kind = ScenarioConfig.__dataclass_fields__[key].type
+            pairs[key] = {"float": float, "int": int}.get(kind, str)(value)
+    return pairs
+
+
+@pytest.mark.parametrize("text, fragment", [
+    case for case in _REJECTIONS if not any(doc in case[1] for doc in _DOCUMENT_ERRORS)])
+def test_value_rejections_hold_for_replace(text, fragment):
+    # The document's keys replace those of a valid config of its kind; the
+    # keys it leaves out that have no default value are unset.
+    with pytest.raises(ConfigurationError) as parsed:
+        parse_config(text)
+    pairs = _written_pairs(text)
+    unset = dict.fromkeys(("m0", "n0", "u0", "v0", "u0_im", "q", "m_amps", "r", "n_amps"))
+    base = _VALID.get(pairs["kind"], _VALID["pde"])
+    with pytest.raises(ConfigurationError) as built:
+        replace(base, **{**unset, **pairs})
+    assert re.sub(r"^line \d+: ", "", str(parsed.value)) == str(built.value)
+    assert re.search(r"'(\w+)'", str(built.value)).group(1) in pairs | unset
 
 
 def test_complex_kind_forces_conjugate_mode():
@@ -339,6 +388,59 @@ def test_pool_sweep_writes_the_serial_sweeps_bytes(tmp_path, monkeypatch, capsys
     assert results["2"] == results["1"]
 
 
+_FIELD_SWEEP = "kind = pde\nm0 = bump(-2, 3, 1)\nt_end = 0.01\nout = sw.csv\n"
+_PEAKON_SWEEP = "kind=peakon q=0 m_amps=10 r=5 n_amps=1\nt_end = 0.2\nout = sw.csv\n"
+
+
+@pytest.mark.parametrize("argv, key", [
+    # The invalid value is the last point, so no point may run before it.
+    (["sweep", "field.cfg", "--vary", "label_stride=4:0:2"], "label_stride"),
+    (["sweep", "field.cfg", "--vary", "output_every=0.1:0:2"], "output_every"),
+    (["sweep", "field.cfg", "--vary", "epsilon_support=1e-7:-1:2"], "epsilon_support"),
+    (["sweep", "field.cfg", "--vary", "tail_tolerance=1e-8:-1:2"], "tail_tolerance"),
+    (["sweep", "field.cfg", "--vary", "blowup_threshold=1e6:-1:2"], "blowup_threshold"),
+    (["sweep", "field.cfg", "--vary", "q=0:1:2"], "q"),
+    (["sweep", "peakon.cfg", "--vary", "half_length=30:40:2"], "half_length"),
+    (["peakons", "--t-end", "nan"], "t_end"),
+    (["peakons", "--q0", "nan"], "q"),
+])
+def test_invalid_points_exit_1_before_any_point_runs(tmp_path, monkeypatch, capsys,
+                                                     argv, key):
+    monkeypatch.setenv("CCCH_THREADS", "1")
+    write_cfg(tmp_path, _FIELD_SWEEP, "field.cfg")
+    write_cfg(tmp_path, _PEAKON_SWEEP, "peakon.cfg")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert f"key '{key}'" in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_rejects_points_that_share_an_output_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CCCH_THREADS", "1")
+    path = write_cfg(tmp_path, _PEAKON_SWEEP)
+    assert main(["sweep", path, "--vary", "r=1:1.000001:3"]) == 1
+    err = capsys.readouterr().err
+    assert "values 1.0 and 1.0000005 both write 'sw_r1.csv'" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_sweep_takes_integer_keys_as_integers(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CCCH_THREADS", "1")
+    path = write_cfg(tmp_path, (
+        "kind = characteristics\nn_points = 256\nm0 = bump(-2, 3, 1)\n"
+        "t_end = 0.01\nout = c.csv\n"))
+    assert main(["sweep", path, "--vary", "label_stride=1:2:3"]) == 1
+    assert "key 'label_stride' expects an integer, got 1.5" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert main(["sweep", path, "--vary", "label_stride=2:4:2"]) == 0
+    assert "--- label_stride = 2" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "c_label_stride2.csv", "c_label_stride4.csv"]
+
+
 def test_blowup_exits_2_with_partial_output(tmp_path, capsys):
     path = write_cfg(tmp_path, (
         "kind=peakon q=0 m_amps=10 r=5 n_amps=1\n"
@@ -486,6 +588,21 @@ def test_a_path_too_long_for_memory_exits_1_without_allocating_it(tmp_path, caps
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and lines[0].startswith("CONFIG ERROR:"), lines
     assert "1e+13 samples" in lines[0]
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb < 100_000
+    assert not (tmp_path / "long.csv").exists()
+
+
+def test_a_time_list_too_long_for_memory_exits_1_without_allocating_it(tmp_path, capsys):
+    # 1e14 output times are 728 TiB: the allocation fails at once, before
+    # any memory is committed, and the run reports it in one line.
+    path = write_cfg(tmp_path, "kind = pde\nm0 = bump(-2, 3, 1)\nt_end = 1e13\nout = long.csv\n")
+    assert main(["check", path]) == 0
+    capsys.readouterr()
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert main(["run", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("CONFIG ERROR:"), lines
+    assert "1e+14 output times" in lines[0]
     assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb < 100_000
     assert not (tmp_path / "long.csv").exists()
 
