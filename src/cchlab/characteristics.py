@@ -7,16 +7,18 @@ transport: ``phi`` follows the velocity v and carries the momentum m
 
     d(phi)/dt = v(phi(t), t),       d(log phi_x)/dt = v_x(phi(t), t),
 
-so the Jacobians are propagated in log form (guaranteeing positivity) and
-exponentiated on output.  The transported momentum satisfies the exact
-pullback identity m(phi(x, t), t) * phi_x(x, t)^2 = m0(x), which
-pullback_residual measures; support_bounds maps initial support endpoints
-forward to bound the support of the evolved momentum.
+so a march carries the positions and log-Jacobians of both flows as one
+array (``CharacteristicSet.flows``), which keeps the Jacobians positive, and
+builds a set, exponentiating them, only at output times.  The transported
+momentum satisfies the exact pullback identity
+m(phi(x, t), t) * phi_x(x, t)^2 = m0(x), which pullback_residual measures;
+support_bounds maps initial support endpoints forward to bound the support
+of the evolved momentum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,31 +61,23 @@ class CharacteristicSet:
             raise ValueError("labels must be strictly increasing")
         if np.any(self.phi_x <= 0) or np.any(self.xi_x <= 0):
             raise ValueError("flow Jacobians must be positive")
-        # Stepped sets share the validated labels (see _stepped_set).
-        self.labels.flags.writeable = False
 
-    def at_time(self, t: float) -> "CharacteristicSet":
-        """Copy with the clock pinned to an exact snapshot time."""
-        return replace(self, t=float(t))
+    @classmethod
+    def from_flows(cls, t: float, labels: np.ndarray, flows: np.ndarray) -> "CharacteristicSet":
+        """The set at time t over ``labels`` from a flows array (see ``flows``).
 
+        exp of a very negative log-Jacobian underflows to 0, which the
+        constructor rejects.
+        """
+        count = labels.size
+        pos, jac = flows[0], np.exp(flows[1])
+        return cls(float(t), labels, pos[:count], pos[count:], jac[:count], jac[count:])
 
-def _stepped_set(cs: CharacteristicSet, t: float, pos: np.ndarray,
-                 jac: np.ndarray) -> CharacteristicSet:
-    """The set over cs's labels with positions ``pos`` and Jacobians ``jac``,
-    each phi's followed by xi's, built without ``__post_init__``.
-
-    The labels are cs's own validated, read-only array; the flows are views
-    of pos and jac, which nothing may write to again.  The Jacobians are
-    still checked positive, because exp of a very negative log-Jacobian
-    underflows to 0.
-    """
-    if np.any(jac <= 0):
-        raise ValueError("flow Jacobians must be positive")
-    count = cs.labels.size
-    stepped = object.__new__(CharacteristicSet)
-    stepped.__dict__.update(t=t, labels=cs.labels, phi=pos[:count], xi=pos[count:],
-                            phi_x=jac[:count], xi_x=jac[count:])
-    return stepped
+    def flows(self) -> np.ndarray:
+        """The (2, 2 * labels) array a march carries: the positions, phi's
+        then xi's, in row 0 and their log-Jacobians in row 1."""
+        return np.array((np.concatenate((self.phi, self.xi)),
+                         np.log(np.concatenate((self.phi_x, self.xi_x)))))
 
 
 def init_characteristics(g: Grid, t: float = 0.0, stride: int = 4) -> CharacteristicSet:
@@ -96,23 +90,26 @@ def init_characteristics(g: Grid, t: float = 0.0, stride: int = 4) -> Characteri
 
 
 def advance_with_stages(
-    cs: CharacteristicSet,
+    flows: np.ndarray,
     g: Grid,
     velocity_stages: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     dt: float,
-) -> CharacteristicSet:
-    """Advance both flows using the four (u, u_x, v, v_x) RK4 stage fields.
+    t_new: float,
+) -> np.ndarray:
+    """Advance a flows array (``CharacteristicSet.flows``) by one step to
+    time ``t_new``, using the four real (u, u_x, v, v_x) RK4 stage fields.
 
     Called by the PDE stepper so positions and Jacobians see exactly the
     same intermediate states as the momenta (the extended system stays a
-    single fourth-order RK4 scheme).  The array (positions; log-Jacobians)
-    of phi and xi takes one ``march.rk4_step``, whose i-th rate evaluates
-    dx/dt = w(x), dlog(jac)/dt = w_x(x) -- w = v along phi, u along xi --
-    by one periodic cubic interpolation from the stacked table
-    (v, u, v_x, u_x) of stage i, with cell indices and weights shared by w
-    and w_x.
+    single fourth-order RK4 scheme).  The array takes one
+    ``march.rk4_step``, whose i-th rate evaluates dx/dt = w(x),
+    dlog(jac)/dt = w_x(x) -- w = v along phi, u along xi -- by one periodic
+    cubic interpolation from the stacked table (v, u, v_x, u_x) of stage i,
+    with cell indices and weights shared by w and w_x.  Raises
+    DomainTooSmallError when a flow leaves the window and FloatingPointError
+    when adjacent characteristics of a flow meet or cross.
     """
-    count = cs.labels.size
+    count = flows.shape[1] // 2
     nodes = g.n_points
     # Each stage's table is (v, u, v_x, u_x), read flat: phi reads v, xi
     # reads u, and w_x sits 2 * nodes further on than w.
@@ -127,11 +124,8 @@ def advance_with_stages(
         index = cells[:, None, :] + offset
         return np.sum(weights[:, None, :] * table.take(index), axis=0)
 
-    y = np.array((np.concatenate((cs.phi, cs.xi)),
-                  np.log(np.concatenate((cs.phi_x, cs.xi_x)))))
-    new_pos, new_log = rk4_step(rates, y, dt)
-    phi, xi = new_pos[:count], new_pos[count:]
-    for name, flow in (("phi", phi), ("xi", xi)):
+    stepped = rk4_step(rates, flows, dt)
+    for name, flow in (("phi", stepped[0, :count]), ("xi", stepped[0, count:])):
         # The leftmost label sits exactly at -L, so it crosses the window
         # edge under round-off-level velocity ripple; only a position more
         # than half a node beyond the edge counts as a genuine escape.
@@ -142,9 +136,9 @@ def advance_with_stages(
         if np.any(np.diff(flow) <= 0):
             raise FloatingPointError(
                 f"characteristic ordering of the {name} flow collapsed at "
-                f"t = {cs.t + dt:.6g}: adjacent characteristics met or crossed"
+                f"t = {t_new:.6g}: adjacent characteristics met or crossed"
             )
-    return _stepped_set(cs, cs.t + dt, new_pos, np.exp(new_log))
+    return stepped
 
 
 def advect(cs: CharacteristicSet, u: Field, v: Field, dt: float) -> CharacteristicSet:
@@ -162,7 +156,9 @@ def advect(cs: CharacteristicSet, u: Field, v: Field, dt: float) -> Characterist
     ux = g.deriv(u.values)
     vx = g.deriv(v.values)
     frozen = [(u.values, ux, v.values, vx)] * 4
-    return advance_with_stages(cs, g, frozen, dt)
+    t = cs.t + dt
+    return CharacteristicSet.from_flows(
+        t, cs.labels, advance_with_stages(cs.flows(), g, frozen, dt, t))
 
 
 def pullback_residual(

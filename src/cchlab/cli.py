@@ -12,8 +12,9 @@ point, or points sharing an output file, before it runs any.
 Exit codes: 0 = ok, 1 = configuration error, 2 = blow-up, 3 = measurement
 invalid (window too small / trajectory too short / characteristic ordering
 collapsed), 4 = unstable (time step above the advective stability bound
-during the march).  The environment variable CCCH_THREADS caps sweep
-parallelism.
+during the march).  The environment variable CCCH_THREADS, an integer, caps
+sweep parallelism.  sweep cannot vary ``out``: each point writes to a name
+derived from the base config's out and the varied value.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ def _vary_config(base: ScenarioConfig, key: str, value: float) -> ScenarioConfig
     kind = _KEY_TYPES.get(key)
     if kind is None:
         raise ConfigurationError(f"--vary key '{key}' is not a config key")
+    if key == "out":
+        raise ConfigurationError("--vary key 'out' cannot be varied: each point "
+                                 "names its own output after the varied value")
     root, ext = os.path.splitext(base.out)
     out = f"{root}_{key}{value:g}{ext or '.csv'}"
     if kind == "int" and value.is_integer():
@@ -108,7 +112,10 @@ def _cmd_sweep(args) -> int:
             raise ConfigurationError(f"--vary values {values[first]!r} and {values[i]!r} "
                                      f"both write {cfg.out!r}")
     cap = os.environ.get("CCCH_THREADS")
-    workers = max(1, int(cap)) if cap else (os.cpu_count() or 1)
+    try:
+        workers = max(1, int(cap)) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigurationError(f"CCCH_THREADS must be an integer, got {cap!r}") from None
     workers = min(workers, len(configs))
     if workers == 1:
         outcomes = [_sweep_worker(cfg) for cfg in configs]

@@ -51,6 +51,17 @@ DEFAULT_SUPPORT_FACTOR = 1e-7
 # Relative window-edge contamination above which exponentially weighted
 # measurements are rejected.
 DEFAULT_TAIL_TOLERANCE = 1e-8
+# Width of the outer band of the window that boundary_contamination weighs.
+_CONTAMINATION_BAND = 2.0
+# Widening of the measured support on each side before the exact weighted
+# moments are evaluated at its ends (see _weighted_moment_exact).
+_MOMENT_MARGIN = 2.0
+# tail_slope fits log|u| over at most _TAIL_FIT_WIDTH beyond the support edge,
+# kept _TAIL_EDGE_MARGIN away from the window boundary, on at least
+# _TAIL_MIN_NODES usable nodes.
+_TAIL_FIT_WIDTH = 10.0
+_TAIL_EDGE_MARGIN = 2.0
+_TAIL_MIN_NODES = 10
 
 
 @dataclass(frozen=True)
@@ -153,10 +164,10 @@ def support_measure(f: Field, epsilon: float) -> Optional[tuple[float, float]]:
     return float(f.grid.nodes[idx[0]]), float(f.grid.nodes[idx[-1]])
 
 
-def boundary_contamination(u: Field, v: Field, band_width: float = 2.0) -> float:
+def boundary_contamination(u: Field, v: Field) -> float:
     """Relative weighted field magnitude near the window edges.
 
-    max over the outer band (|x| >= L - band_width) of
+    max over the outer band (|x| >= L - _CONTAMINATION_BAND) of
     max(|u|, |v|) * e^{L - |x|}, normalized by the overall field magnitude.
     Genuine e^{-|x|} tails keep this near e^{-L}; wrap-around contamination
     drives it up long before the moments are corrupted.
@@ -167,7 +178,7 @@ def boundary_contamination(u: Field, v: Field, band_width: float = 2.0) -> float
     overall = float(np.max(mag))
     if overall == 0.0:
         return 0.0
-    band = np.abs(g.nodes) >= g.half_length - band_width
+    band = np.abs(g.nodes) >= g.half_length - _CONTAMINATION_BAND
     weighted = mag[band] * np.exp(g.half_length - np.abs(g.nodes[band]))
     return float(np.max(weighted)) / overall
 
@@ -186,10 +197,9 @@ def _windowed_weighted_integral(f: Field, sign: int, eps: float) -> float:
 
 
 def _weighted_moment_exact(f: Field, sign: int, eps: float,
-                           vel: Optional[Field] = None,
-                           margin: float = 2.0) -> float:
+                           vel: Optional[Field] = None) -> float:
     """Exact value of int e^{sign*y} f dy over the measured support of f
-    (widened by ``margin`` on each side).
+    (widened by _MOMENT_MARGIN on each side).
 
     With w the trigonometric field satisfying f = w - w'' (w = the inverse
     Helmholtz image of f), the integrand has the closed antiderivative
@@ -208,7 +218,7 @@ def _weighted_moment_exact(f: Field, sign: int, eps: float,
     g = f.grid
     w = vel.values if vel is not None else g.inv_helmholtz(f.values)
     wx = g.deriv(w)
-    pad = int(round(margin / g.spacing))
+    pad = int(round(_MOMENT_MARGIN / g.spacing))
     lo = int(round((window[0] + g.half_length) / g.spacing)) - pad
     hi = int(round((window[1] + g.half_length) / g.spacing)) + pad
     lo = max(lo, 0)
@@ -322,22 +332,14 @@ def moment_rate_check(
     return gap_plus, gap_minus
 
 
-def tail_slope(
-    u: Field,
-    side: str,
-    support_edge: float,
-    *,
-    fit_width: float = 10.0,
-    min_nodes: int = 10,
-    edge_margin: float = 2.0,
-) -> float:
+def tail_slope(u: Field, side: str, support_edge: float) -> float:
     """Least-squares slope of log|u| beyond the support edge.
 
     A pure exponential tail gives -1 on the right and +1 on the left.  The
-    fit window extends fit_width beyond the edge but stays edge_margin away
-    from the window boundary; nodes below 100 machine epsilons of the field
-    magnitude are discarded.  Fewer than min_nodes qualifying nodes raise
-    MeasurementError.
+    fit window extends _TAIL_FIT_WIDTH beyond the edge but stays
+    _TAIL_EDGE_MARGIN away from the window boundary; nodes below 100 machine
+    epsilons of the field magnitude are discarded.  Fewer than
+    _TAIL_MIN_NODES qualifying nodes raise MeasurementError.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -347,16 +349,16 @@ def tail_slope(
     x = g.nodes
     floor = 100.0 * np.finfo(np.float64).eps * max(u.max_abs(), 1e-300)
     if side == "right":
-        window = (x > support_edge) & (x <= min(support_edge + fit_width,
-                                                g.half_length - edge_margin))
+        window = (x > support_edge) & (x <= min(support_edge + _TAIL_FIT_WIDTH,
+                                                g.half_length - _TAIL_EDGE_MARGIN))
     else:
-        window = (x < support_edge) & (x >= max(support_edge - fit_width,
-                                                -g.half_length + edge_margin))
+        window = (x < support_edge) & (x >= max(support_edge - _TAIL_FIT_WIDTH,
+                                                -g.half_length + _TAIL_EDGE_MARGIN))
     window &= np.abs(u.values) > floor
-    if int(window.sum()) < min_nodes:
+    if int(window.sum()) < _TAIL_MIN_NODES:
         raise MeasurementError(
             f"only {int(window.sum())} usable nodes beyond the {side} support "
-            f"edge {support_edge:g}; need {min_nodes}"
+            f"edge {support_edge:g}; need {_TAIL_MIN_NODES}"
         )
     slope = np.polyfit(x[window], np.log(np.abs(u.values[window])), 1)[0]
     return float(slope)

@@ -112,10 +112,11 @@ def _write_field_snapshots(path: str, snaps: list[tuple[float, solver.PdeState]]
                 [np.full(nodes.size, float(t)), nodes] + cols).tolist())
 
 
-def _drift(values: np.ndarray | list[float], scale: float = 1e-14) -> float:
-    """Largest deviation from the first value, relative to max(|first|, scale)."""
+def _drift(values: np.ndarray | list[float], scale: float = 0.0) -> float:
+    """Largest deviation from the first value, relative to
+    max(|first|, scale, 1e-14); the floor keeps all-zero data finite."""
     values = np.asarray(values)
-    ref = max(abs(float(values[0])), scale)
+    ref = max(abs(float(values[0])), scale, 1e-14)
     return float(np.max(np.abs(values - values[0]))) / ref
 
 

@@ -24,7 +24,7 @@ precomputes, forms the products in physical space, and returns through one
 batched forward transform.
 
 Time stepping is the fixed-step RK4 of cchlab.march with an advective stability
-guard and a loud blow-up guard; optional characteristic sets are advanced with
+guard and a loud blow-up guard; optional characteristic flows are advanced with
 the step's four stage velocities so the extended system retains fourth order.
 """
 
@@ -317,9 +317,9 @@ def evolve(
 
     Each inter-output interval is cut into its ``march.substeps``, equal
     steps no longer than dt, so snapshots land exactly on the requested
-    times.  When ``track`` is given, the characteristic set is advanced
-    inside the same RK4 stages as the momenta and a snapshot of it
-    accompanies every state snapshot.  ``callback`` is invoked as
+    times.  When ``track`` is given (real data only), its flows are
+    advanced inside the same RK4 stages as the momenta, and a set built from
+    them accompanies every state snapshot.  ``callback`` is invoked as
     callback(state, characteristics) at every snapshot.
 
     The blow-up threshold is frozen from the initial data as
@@ -331,12 +331,16 @@ def evolve(
     g = state.grid
     times = _normalize_output_times(state.t, t_end, output_times)
     threshold = _default_threshold(state.m.values, state.n.values, blowup_factor)
-    if track is not None and track.t != state.t:
-        raise ValueError("tracked characteristics must start at the state's time")
+    if track is not None:
+        if track.t != state.t:
+            raise ValueError("tracked characteristics must start at the state's time")
+        if state.m.is_complex or state.n.is_complex:
+            raise ValueError("characteristic tracking needs real data")
 
     snapshots: list[PdeState] = []
     cs_snaps: Optional[list[CharacteristicSet]] = [] if track is not None else None
     cs = track
+    flows = track.flows() if track is not None else None
     core = _Core.of(state)
 
     def emit(s: PdeState) -> None:
@@ -361,12 +365,11 @@ def evolve(
                 spec, rows, stages = _step(core, spec, dt_eff, threshold,
                                            t_start + k * dt_eff)
                 t_rows = t_start + k * dt_eff
-                if cs is not None:
-                    cs = advance_with_stages(
-                        cs, g, [tuple(w.real for w in ws) for ws in stages], dt_eff)
+                if flows is not None:
+                    flows = advance_with_stages(flows, g, stages, dt_eff, t_rows)
             t_rows = target
-            if cs is not None:
-                cs = cs.at_time(target)
+            if flows is not None:
+                cs = CharacteristicSet.from_flows(target, track.labels, flows)
             emit(core.state(rows, target))
     except BlowUpError as err:
         raise BlowUpError(

@@ -48,22 +48,28 @@ def test_set_validation():
         CharacteristicSet(0.0, labels, labels[:2], labels, ones, ones)
 
 
-def test_stepped_sets_share_the_read_only_labels(grid_small):
-    cs = init_characteristics(grid_small)
-    u, v = _constant_fields(grid_small, 0.3, -0.2)
-    out = advect(advect(cs, u, v, 0.1), u, v, 0.1)
-    assert out.labels is cs.labels and not cs.labels.flags.writeable
-    for a in (out.phi, out.xi, out.phi_x, out.xi_x):
-        assert a.shape == cs.labels.shape and a.dtype == np.float64
+def test_flows_round_trip_through_a_set(grid_small):
+    cs = init_characteristics(grid_small, stride=8)
+    flows = cs.flows()
+    assert flows.shape == (2, 2 * cs.labels.size)
+    assert np.array_equal(flows[0], np.concatenate((cs.phi, cs.xi)))
+    assert np.all(flows[1] == 0.0)
+    back = CharacteristicSet.from_flows(0.5, cs.labels, flows)
+    assert back.t == 0.5
+    for name in ("labels", "phi", "xi", "phi_x", "xi_x"):
+        assert np.array_equal(getattr(back, name), getattr(cs, name))
 
 
 def test_underflowed_jacobian_is_rejected(grid_small):
-    # A log-Jacobian of -1000 underflows exp to 0, which no flow may reach.
+    # A log-Jacobian of -1000 is a valid flow, but exp underflows it to 0,
+    # which no set may hold.
     cs = init_characteristics(grid_small)
     zero = np.zeros(grid_small.n_points)
     stage = (zero, zero, zero, np.full(grid_small.n_points, -1e6))
+    flows = advance_with_stages(cs.flows(), grid_small, [stage] * 4, 1e-3, 1e-3)
+    assert np.allclose(flows[1, :cs.labels.size], -1000.0)
     with pytest.raises(ValueError, match="Jacobians must be positive"):
-        advance_with_stages(cs, grid_small, [stage] * 4, 1e-3)
+        CharacteristicSet.from_flows(1e-3, cs.labels, flows)
 
 
 # -------------------------------------------------------------------- advection
@@ -189,6 +195,16 @@ def test_tracked_run_keeps_flows_aligned_with_snapshots():
 def test_tracking_must_start_at_the_state_time():
     g = make_grid(30.0, 256)
     st = PdeState(0.0, Field(g, np.zeros(256)), Field(g, np.zeros(256)))
-    stale = init_characteristics(g).at_time(1.0)
+    stale = init_characteristics(g, t=1.0)
     with pytest.raises(ValueError):
         evolve(st, 0.1, 1e-3, track=stale)
+
+
+def test_tracking_refuses_complex_data():
+    # Tracking follows real velocities; dropping imaginary parts would march
+    # flows of some other field without a word.
+    g = make_grid(30.0, 256)
+    m = Field(g, bump_values(g.nodes, -1.0, 4.0, 0.3) * (1.0 + 0.5j))
+    st = PdeState(0.0, m, Field(g, np.conj(m.values)), "complex_conjugate")
+    with pytest.raises(ValueError, match="needs real data"):
+        evolve(st, 0.01, 1e-3, track=init_characteristics(g))

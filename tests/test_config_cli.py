@@ -403,6 +403,7 @@ _PEAKON_SWEEP = "kind=peakon q=0 m_amps=10 r=5 n_amps=1\nt_end = 0.2\nout = sw.c
     (["sweep", "peakon.cfg", "--vary", "half_length=30:40:2"], "half_length"),
     (["peakons", "--t-end", "nan"], "t_end"),
     (["peakons", "--q0", "nan"], "q"),
+    (["sweep", "field.cfg", "--vary", "out=1:2:2"], "out"),
 ])
 def test_invalid_points_exit_1_before_any_point_runs(tmp_path, monkeypatch, capsys,
                                                      argv, key):
@@ -414,6 +415,18 @@ def test_invalid_points_exit_1_before_any_point_runs(tmp_path, monkeypatch, caps
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert f"key '{key}'" in lines[0]
+    assert "Traceback" not in captured.out + captured.err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_malformed_thread_cap_exits_1_before_any_point_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CCCH_THREADS", "two")
+    path = write_cfg(tmp_path, _PEAKON_SWEEP)
+    assert main(["sweep", path, "--vary", "r=4:5:2"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert "CCCH_THREADS" in lines[0] and "'two'" in lines[0]
     assert "Traceback" not in captured.out + captured.err
     assert not list(tmp_path.glob("*.csv"))
 
@@ -553,6 +566,20 @@ def test_momentum_zero_by_symmetry_reports_no_p_drift(tmp_path, capsys):
     assert float(line.split("P drift:")[1]) < 1e-12
     header, rows = read_rows(tmp_path / "odd.csv")
     assert max(abs(float(row[header.index("P")])) for row in rows) < 1e-14
+
+
+def test_zero_momenta_run_reports_its_drifts(tmp_path, capsys):
+    # H(0) = P(0) = 0 and the total |momentum| is 0 too: the drifts are
+    # measured against a positive floor, not divided by zero.
+    path = write_cfg(tmp_path, (
+        "kind = pde\nm0 = gaussian(0, 1, 0)\nn_points = 64\nt_end = 0.01\nout = zero.csv\n"
+    ))
+    assert main(["run", path]) == 0
+    out = capsys.readouterr().out
+    assert "H drift: 0.000e+00   P drift: 0.000e+00" in out
+    assert "tail slopes at t=0.01" in out
+    header, rows = read_rows(tmp_path / "zero.csv")
+    assert len(rows) == 2
 
 
 def test_uncontained_tails_exit_3(tmp_path, capsys):
