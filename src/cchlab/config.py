@@ -16,7 +16,9 @@ assigned to m0/n0 (momenta directly) or u0/v0 (velocities; the momenta are
 then computed spectrally as (1 - d^2/dx^2) u0).
 
 ScenarioConfig checks every value when built, naming the key in its error;
-parse_config checks only the document and adds the key's "line N: ".
+a shape must have a positive width, a bump's support [c - w, c + w] must
+lie strictly inside (-L, L), and a gaussian's or mollified peakon's centre
+in it.  parse_config checks only the document and adds the key's "line N: ".
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ class ScenarioConfig:
                                  "mode=ch_reduction derives the pair from the m-side")
         for key in ("m0", "n0", "u0", "v0", "u0_im"):
             if getattr(self, key) is not None:
-                _parse_shapes(getattr(self, key), key)
+                _check_shapes_fit(_parse_shapes(getattr(self, key), key), key,
+                                  self.half_length)
         requested = parse_float_list(self.snapshot_times, "snapshot_times")
         times = output_times(self) if requested else []
         for ts in requested:
@@ -323,17 +326,28 @@ def _parse_shapes(expr: str, key: str):
     return terms
 
 
+def _check_shapes_fit(terms, key: str, half_length: float) -> None:
+    """Reject a shape with a non-positive width, a bump whose support is not
+    strictly inside (-L, L), or another shape centred outside it."""
+    for _, name, args in terms:
+        center = args[0]
+        width = args[2] if name == "mollified_peakon" else args[1]
+        if width <= 0:
+            raise _key_error(key, f"has shape '{name}' with non-positive width {width!r}")
+        if name == "bump":
+            if center - width <= -half_length or center + width >= half_length:
+                raise _key_error(key, f"has bump support [{center - width!r}, "
+                                      f"{center + width!r}] crossing the window edge "
+                                      f"(half_length = {half_length!r})")
+        elif not -half_length < center < half_length:
+            raise _key_error(key, f"has {name} centre {center!r} outside the window "
+                                  f"(half_length = {half_length!r})")
+
+
 def _eval_shape(name: str, args: list[float], g: Grid) -> np.ndarray:
     x = g.nodes
     if name == "bump":
         center, width, amplitude = args
-        if width <= 0:
-            raise ConfigurationError(f"bump width must be positive, got {width}")
-        if center - width <= -g.half_length or center + width >= g.half_length:
-            raise ConfigurationError(
-                f"bump support [{center - width}, {center + width}] crosses the "
-                f"window edge (L = {g.half_length})"
-            )
         s = (x - center) / width
         out = np.zeros_like(x)
         inside = np.abs(s) < 1.0
@@ -341,21 +355,11 @@ def _eval_shape(name: str, args: list[float], g: Grid) -> np.ndarray:
         return out
     if name == "gaussian":
         center, width, amplitude = args
-        if width <= 0:
-            raise ConfigurationError(f"gaussian width must be positive, got {width}")
-        if not -g.half_length < center < g.half_length:
-            raise ConfigurationError(f"gaussian center {center} outside the window")
         return amplitude * np.exp(-(((x - center) / width) ** 2))
-    if name == "mollified_peakon":
-        center, mass, width = args
-        if width <= 0:
-            raise ConfigurationError(f"mollifier width must be positive, got {width}")
-        if not -g.half_length < center < g.half_length:
-            raise ConfigurationError(f"mollified peakon center {center} outside the window")
-        shape = np.exp(-0.5 * (((x - center) / width) ** 2))
-        total = float(np.sum(shape)) * g.spacing
-        return (mass / total) * shape
-    raise ConfigurationError(f"unknown shape '{name}'")
+    center, mass, width = args  # mollified_peakon
+    shape = np.exp(-0.5 * (((x - center) / width) ** 2))
+    total = float(np.sum(shape)) * g.spacing
+    return (mass / total) * shape
 
 
 def _eval_expression(expr: str, g: Grid) -> np.ndarray:

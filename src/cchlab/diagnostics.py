@@ -19,7 +19,7 @@ import numpy as np
 
 from .characteristics import CharacteristicSet, pullback_residual
 from .errors import DomainTooSmallError, MeasurementError
-from .grid import Field
+from .grid import Field, Grid
 from .solver import PdeState, recover_velocity
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "zero_integral_check",
     "compute_record",
     "CSV_COLUMNS",
+    "record_row",
 ]
 
 # Support threshold as a fraction of the initial field magnitude.  Smooth
@@ -54,7 +55,7 @@ DEFAULT_TAIL_TOLERANCE = 1e-8
 # Width of the outer band of the window that boundary_contamination weighs.
 _CONTAMINATION_BAND = 2.0
 # Widening of the measured support on each side before the exact weighted
-# moments are evaluated at its ends (see _weighted_moment_exact).
+# moments are evaluated at its ends (see _moment_pair).
 _MOMENT_MARGIN = 2.0
 # tail_slope fits log|u| over at most _TAIL_FIT_WIDTH beyond the support edge,
 # kept _TAIL_EDGE_MARGIN away from the window boundary, on at least
@@ -97,6 +98,19 @@ CSV_COLUMNS = (
 )
 
 
+def record_row(rec: DiagnosticsRecord, with_pullback: bool) -> list[Optional[float]]:
+    """The record's CSV_COLUMNS values (plus pullback_residual when asked),
+    with None for an unmeasured support."""
+    supp_m = rec.supp_m or (None, None)
+    supp_u = rec.supp_u or (None, None)
+    row = [rec.t, rec.H, rec.P, rec.Eu_plus, rec.Eu_minus, rec.Ev_plus, rec.Ev_minus,
+           rec.E_plus, rec.E_minus, *supp_m, *supp_u,
+           rec.tail_slope_left, rec.tail_slope_right, rec.max_abs, rec.boundary_contamination]
+    if with_pullback:
+        row.append(rec.pullback_residual)
+    return [None if x is None else float(x) for x in row]
+
+
 @dataclass(frozen=True)
 class DiagnosticsSettings:
     """Absolute support thresholds (frozen from the initial data) and the
@@ -128,6 +142,13 @@ def _require_same_grid(a: Field, b: Field) -> None:
         raise ValueError("fields must live on the same grid")
 
 
+def _energy(u: Field, u_x: np.ndarray, v: Field, v_x: np.ndarray) -> float:
+    total = np.sum(u.values * v.values + u_x * v_x) * u.grid.spacing
+    if u.is_complex or v.is_complex:
+        return 0.5 * float(np.real(total))
+    return float(total)
+
+
 def energy_H(u: Field, v: Field) -> float:
     """Quadratic energy: sum over nodes of (u v + u_x v_x) * spacing.
 
@@ -136,12 +157,7 @@ def energy_H(u: Field, v: Field) -> float:
     """
     _require_same_grid(u, v)
     g = u.grid
-    ux = g.deriv(u.values)
-    vx = g.deriv(v.values)
-    total = np.sum(u.values * v.values + ux * vx) * g.spacing
-    if u.is_complex or v.is_complex:
-        return 0.5 * float(np.real(total))
-    return float(total)
+    return _energy(u, g.deriv(u.values), v, g.deriv(v.values))
 
 
 def momentum_P(m: Field, n: Field) -> float:
@@ -196,39 +212,31 @@ def _windowed_weighted_integral(f: Field, sign: int, eps: float) -> float:
     return float(np.real(np.trapezoid(np.exp(sign * y) * vals, dx=g.spacing)))
 
 
-def _weighted_moment_exact(f: Field, sign: int, eps: float,
-                           vel: Optional[Field] = None) -> float:
-    """Exact value of int e^{sign*y} f dy over the measured support of f
-    (widened by _MOMENT_MARGIN on each side).
+def _moment_pair(w: np.ndarray, w_x: np.ndarray, window: Optional[tuple[float, float]],
+                 g: Grid) -> tuple[float, float]:
+    """Exact (int e^{y} f dy, int e^{-y} f dy) over the measured support
+    ``window`` of f = w - w'' (widened by _MOMENT_MARGIN on each side).
 
-    With w the trigonometric field satisfying f = w - w'' (w = the inverse
-    Helmholtz image of f), the integrand has the closed antiderivative
-    e^{y}(w - w') (resp. -e^{-y}(w + w')), so the windowed integral reduces
-    to boundary evaluations of w and its spectral derivative -- no
-    quadrature error, and the e^{|y|} weight never multiplies far-field
-    round-off.  The margin pushes the boundary past the sub-threshold
-    sliver of f, whose weighted mass (about eps * e^{edge}) would otherwise
-    dominate a genuinely vanishing moment; on an exponential tail of w the
-    boundary term e^{±y}(w ∓ w') is constant in y, so the margin does not
-    change nonzero moments.  Real part is returned for complex fields.
+    With w the inverse Helmholtz image of f and w_x its spectral
+    derivative, the integrands have the closed antiderivatives e^{y}(w - w')
+    and -e^{-y}(w + w'), so the windowed integrals reduce to boundary
+    evaluations -- no quadrature error, and the e^{|y|} weight never
+    multiplies far-field round-off.  The margin pushes the boundary past
+    the sub-threshold sliver of f, whose weighted mass (about eps * e^{edge})
+    would otherwise dominate a genuinely vanishing moment; on an exponential
+    tail of w the boundary term e^{±y}(w ∓ w') is constant in y, so the
+    margin does not change nonzero moments.  An unmeasured support gives
+    zeros; real parts are returned for complex fields.
     """
-    window = support_measure(f, eps)
     if window is None:
-        return 0.0
-    g = f.grid
-    w = vel.values if vel is not None else g.inv_helmholtz(f.values)
-    wx = g.deriv(w)
+        return 0.0, 0.0
     pad = int(round(_MOMENT_MARGIN / g.spacing))
-    lo = int(round((window[0] + g.half_length) / g.spacing)) - pad
-    hi = int(round((window[1] + g.half_length) / g.spacing)) + pad
-    lo = max(lo, 0)
-    hi = min(hi, g.n_points - 1)
+    lo = max(int(round((window[0] + g.half_length) / g.spacing)) - pad, 0)
+    hi = min(int(round((window[1] + g.half_length) / g.spacing)) + pad, g.n_points - 1)
     a, b = g.nodes[lo], g.nodes[hi]
-    if sign > 0:
-        val = (np.exp(b) * (w[hi] - wx[hi])) - (np.exp(a) * (w[lo] - wx[lo]))
-    else:
-        val = (np.exp(-a) * (w[lo] + wx[lo])) - (np.exp(-b) * (w[hi] + wx[hi]))
-    return float(np.real(val))
+    plus = (np.exp(b) * (w[hi] - w_x[hi])) - (np.exp(a) * (w[lo] - w_x[lo]))
+    minus = (np.exp(-a) * (w[lo] + w_x[lo])) - (np.exp(-b) * (w[hi] + w_x[hi]))
+    return float(np.real(plus)), float(np.real(minus))
 
 
 def _check_contamination(u: Field, v: Field, tolerance: float) -> float:
@@ -247,23 +255,19 @@ def exp_moments(
     n: Field,
     u: Optional[Field] = None,
     v: Optional[Field] = None,
-    *,
-    support_factor: float = DEFAULT_SUPPORT_FACTOR,
-    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
-    eps_m: Optional[float] = None,
-    eps_n: Optional[float] = None,
 ) -> tuple[float, float, float, float]:
     """Exponentially weighted momentum integrals (Eu_plus, Eu_minus,
     Ev_plus, Ev_minus).
 
     Eu_± integrates e^{±y} m(y) dy and Ev_± does the same with n.  Each
-    integral runs over the measured support of its own integrand and is
-    evaluated through the exact antiderivative e^{±y}(w ∓ w') of
-    e^{±y}(w - w''), so the value carries no quadrature error and the
-    e^{L}-scale edge weights never touch far-field round-off.  Complex
-    momenta contribute their real parts (the self-conjugate pair sums to a
-    real quantity).  Raises DomainTooSmallError when edge contamination
-    exceeds tail_tolerance.
+    integral runs over the measured support of its own integrand
+    (DEFAULT_SUPPORT_FACTOR times its magnitude) and is evaluated through
+    the exact antiderivative e^{±y}(w ∓ w') of e^{±y}(w - w''), so the
+    value carries no quadrature error and the e^{L}-scale edge weights
+    never touch far-field round-off.  Complex momenta contribute their real
+    parts (the self-conjugate pair sums to a real quantity).  Raises
+    DomainTooSmallError when edge contamination exceeds
+    DEFAULT_TAIL_TOLERANCE.
     """
     _require_same_grid(m, n)
     g = m.grid
@@ -271,27 +275,22 @@ def exp_moments(
         u = Field(g, g.inv_helmholtz(m.values))
     if v is None:
         v = Field(g, g.inv_helmholtz(n.values))
-    _check_contamination(u, v, tail_tolerance)
-    e_m = eps_m if eps_m is not None else support_factor * max(m.max_abs(), 1e-300)
-    e_n = eps_n if eps_n is not None else support_factor * max(n.max_abs(), 1e-300)
-    return (
-        _weighted_moment_exact(m, +1, e_m, u),
-        _weighted_moment_exact(m, -1, e_m, u),
-        _weighted_moment_exact(n, +1, e_n, v),
-        _weighted_moment_exact(n, -1, e_n, v),
-    )
+    _check_contamination(u, v, DEFAULT_TAIL_TOLERANCE)
+    supp_m = support_measure(m, DEFAULT_SUPPORT_FACTOR * max(m.max_abs(), 1e-300))
+    supp_n = support_measure(n, DEFAULT_SUPPORT_FACTOR * max(n.max_abs(), 1e-300))
+    return (_moment_pair(u.values, g.deriv(u.values), supp_m, g)
+            + _moment_pair(v.values, g.deriv(v.values), supp_n, g))
 
 
-def quadrature_noise_floor(m: Field, n: Field, *,
-                           support_factor: float = DEFAULT_SUPPORT_FACTOR) -> float:
+def quadrature_noise_floor(m: Field, n: Field) -> float:
     """Round-off scale of the weighted moment quadratures.
 
     Machine epsilon times the absolute-value version of the largest
     weighted integral; measured moments below a few of these are
     indistinguishable from zero.
     """
-    eps_m = support_factor * max(m.max_abs(), 1e-300)
-    eps_n = support_factor * max(n.max_abs(), 1e-300)
+    eps_m = DEFAULT_SUPPORT_FACTOR * max(m.max_abs(), 1e-300)
+    eps_n = DEFAULT_SUPPORT_FACTOR * max(n.max_abs(), 1e-300)
     m_abs = Field(m.grid, np.abs(m.values))
     n_abs = Field(n.grid, np.abs(n.values))
     scale = max(
@@ -309,8 +308,6 @@ def moment_rate_check(
     v: Field,
     dE_plus_dt_fd: float,
     dE_minus_dt_fd: float,
-    *,
-    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
 ) -> tuple[float, float]:
     """Relative gap between finite-difference moment rates and the closed
     quadrature forms dE_+/dt = ∫ e^{y} (2 u v + u_x v_x) dy and
@@ -320,7 +317,7 @@ def moment_rate_check(
     safe here (no support windowing needed).
     """
     _require_same_grid(u, v)
-    _check_contamination(u, v, tail_tolerance)
+    _check_contamination(u, v, DEFAULT_TAIL_TOLERANCE)
     g = u.grid
     ux = g.deriv(u.values)
     vx = g.deriv(v.values)
@@ -364,12 +361,7 @@ def tail_slope(u: Field, side: str, support_edge: float) -> float:
     return float(slope)
 
 
-def zero_integral_check(
-    m: Field,
-    *,
-    support_factor: float = DEFAULT_SUPPORT_FACTOR,
-    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
-) -> tuple[float, float]:
+def zero_integral_check(m: Field) -> tuple[float, float]:
     """The pair (∫ e^{y} m dy, ∫ e^{-y} m dy) over the measured support.
 
     Both vanish exactly when the Helmholtz inverse of a compactly supported
@@ -381,14 +373,7 @@ def zero_integral_check(
     """
     if m.is_complex:
         raise ValueError("zero-integral check is defined for real momenta")
-    g = m.grid
-    u = Field(g, g.inv_helmholtz(m.values))
-    _check_contamination(u, u, tail_tolerance)
-    eps = support_factor * max(m.max_abs(), 1e-300)
-    return (
-        _weighted_moment_exact(m, +1, eps, u),
-        _weighted_moment_exact(m, -1, eps, u),
-    )
+    return exp_moments(m, m)[:2]
 
 
 def compute_record(
@@ -398,7 +383,9 @@ def compute_record(
     m0: Optional[Field] = None,
     n0: Optional[Field] = None,
 ) -> DiagnosticsRecord:
-    """Evaluate every monitored quantity for one snapshot.
+    """Evaluate every monitored quantity for one snapshot, in one pass: the
+    velocities, their derivatives, the four supports and the contamination
+    guard are each evaluated once and every column is derived from them.
 
     Tail slopes are fitted beyond the measured support of the matching
     momentum; when a slope (or a support) is not measurable the record
@@ -407,16 +394,16 @@ def compute_record(
     defect (max of the m- and n-flow defects) is included.
     """
     m, n = state.m, state.n
+    g = m.grid
     u, v = recover_velocity(state)
-    contamination = boundary_contamination(u, v)
-    eu_p, eu_m, ev_p, ev_m = exp_moments(
-        m, n, u, v, eps_m=settings.eps_m, eps_n=settings.eps_n,
-        tail_tolerance=settings.tail_tolerance,
-    )
+    contamination = _check_contamination(u, v, settings.tail_tolerance)
+    u_x, v_x = g.deriv(u.values), g.deriv(v.values)
     supp_m = support_measure(m, settings.eps_m)
     supp_n = support_measure(n, settings.eps_n)
     supp_u = support_measure(u, settings.eps_u)
     supp_v = support_measure(v, settings.eps_v)
+    eu_p, eu_m = _moment_pair(u.values, u_x, supp_m, g)
+    ev_p, ev_m = _moment_pair(v.values, v_x, supp_n, g)
     u_real = u if not u.is_complex else Field(u.grid, np.abs(u.values))
 
     slope_left = slope_right = float("nan")
@@ -439,7 +426,7 @@ def compute_record(
 
     return DiagnosticsRecord(
         t=state.t,
-        H=energy_H(u, v),
+        H=_energy(u, u_x, v, v_x),
         P=momentum_P(m, n),
         Eu_plus=eu_p, Eu_minus=eu_m, Ev_plus=ev_p, Ev_minus=ev_m,
         E_plus=eu_p + ev_p, E_minus=eu_m + ev_m,

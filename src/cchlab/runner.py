@@ -7,8 +7,8 @@ whose ordering collapsed), 4 = unstable (the time step exceeded the
 advective stability bound during the march).  A blow-up, invalid
 measurement or instability met during a march still writes the output
 completed so far.  A config has checked its values when built; a run can
-still meet a shape the grid rejects, or a time list or peakon path
-too long to allocate: status 1 and one CONFIG ERROR line, before any output.
+still meet a time list or peakon path too long to allocate: status 1 and
+one CONFIG ERROR line, before any output.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -41,43 +40,25 @@ class RunResult:
     records: list[diag.DiagnosticsRecord] = field(default_factory=list)
 
 
-# Rows per writerows call of a float table.  The csv module writes a Python
-# float as str(x), which is repr(x), the form _fmt writes; converting the
-# table with tolist() block by block keeps the Python floats of only one
-# block alive at a time.
+# Rows per block of a float table.  The csv module writes a Python float as
+# repr(x) and None as an empty cell; converting a table with tolist() block
+# by block keeps the Python floats of only one block alive at a time.
 _CSV_BLOCK_ROWS = 1024
 
 
-def _fmt(x: Optional[float]) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
-
-
-def _record_row(rec: diag.DiagnosticsRecord, with_pullback: bool) -> list[str]:
-    supp_m = rec.supp_m or (None, None)
-    supp_u = rec.supp_u or (None, None)
-    row = [
-        _fmt(rec.t), _fmt(rec.H), _fmt(rec.P),
-        _fmt(rec.Eu_plus), _fmt(rec.Eu_minus), _fmt(rec.Ev_plus), _fmt(rec.Ev_minus),
-        _fmt(rec.E_plus), _fmt(rec.E_minus),
-        _fmt(supp_m[0]), _fmt(supp_m[1]), _fmt(supp_u[0]), _fmt(supp_u[1]),
-        _fmt(rec.tail_slope_left), _fmt(rec.tail_slope_right),
-        _fmt(rec.max_abs), _fmt(rec.boundary_contamination),
-    ]
-    if with_pullback:
-        row.append(_fmt(rec.pullback_residual))
-    return row
-
-
-def _write_records_csv(path: str, records: list[diag.DiagnosticsRecord],
-                       with_pullback: bool) -> None:
-    header = list(diag.CSV_COLUMNS) + (["pullback_residual"] if with_pullback else [])
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for rec in records:
-            writer.writerow(_record_row(rec, with_pullback))
+        writer.writerows(rows)
+
+
+def _table_rows(*columns: np.ndarray):
+    """Rows of the column-stacked float arrays, as Python floats, stacked
+    and converted _CSV_BLOCK_ROWS rows at a time."""
+    for lo in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = slice(lo, lo + _CSV_BLOCK_ROWS)
+        yield from np.column_stack([c[block] for c in columns]).tolist()
 
 
 def _fields_path(out: str) -> str:
@@ -86,30 +67,29 @@ def _fields_path(out: str) -> str:
 
 
 def _write_field_snapshots(path: str, snaps: list[tuple[float, solver.PdeState]]) -> None:
+    """(t, x, u, v, m, n) blocks, one row per node; complex data writes the
+    real and imaginary parts of each field."""
     if not snaps:
         return
-    state0 = snaps[0][1]
-    is_complex = state0.m.is_complex
+    is_complex = snaps[0][1].m.is_complex
+    names = ["u", "v", "m", "n"]
     if is_complex:
-        header = ["t", "x", "u_re", "u_im", "v_re", "v_im",
-                  "m_re", "m_im", "n_re", "n_im"]
-    else:
-        header = ["t", "x", "u", "v", "m", "n"]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
+        names = [f"{name}_{part}" for name in names for part in ("re", "im")]
+
+    def rows():
         for t, state in snaps:
             u, v = solver.recover_velocity(state)
-            cols: list[np.ndarray]
+            cols = [f.values for f in (u, v, state.m, state.n)]
             if is_complex:
-                cols = [u.values.real, u.values.imag, v.values.real, v.values.imag,
-                        state.m.values.real, state.m.values.imag,
-                        state.n.values.real, state.n.values.imag]
-            else:
-                cols = [u.values, v.values, state.m.values, state.n.values]
+                cols = [part for w in cols for part in (w.real, w.imag)]
             nodes = state.grid.nodes
-            writer.writerows(np.column_stack(
-                [np.full(nodes.size, float(t)), nodes] + cols).tolist())
+            yield from _table_rows(np.full(nodes.size, float(t)), nodes, *cols)
+
+    _write_csv(path, ["t", "x"] + names, rows())
+
+
+def _slope(x: float) -> str:
+    return "not measured" if np.isnan(x) else f"{x:+.4f}"
 
 
 def _drift(values: np.ndarray | list[float], scale: float = 0.0) -> float:
@@ -155,30 +135,30 @@ def _run_field_scenario(cfg: ScenarioConfig) -> RunResult:
         status = 4
         summary.append(f"UNSTABLE: {err}")
 
-    _write_records_csv(cfg.out, records, with_pullback)
+    header = list(diag.CSV_COLUMNS) + (["pullback_residual"] if with_pullback else [])
+    _write_csv(cfg.out, header, (diag.record_row(rec, with_pullback) for rec in records))
     _write_field_snapshots(_fields_path(cfg.out), field_snaps)
 
     if records:
         hs = [r.H for r in records]
         ps = [r.P for r in records]
-        eplus = [r.E_plus for r in records]
-        eminus = [r.E_minus for r in records]
         summary.append(f"snapshots: {len(records)}   (CSV: {cfg.out})")
         # A P that is zero by symmetry is measured against the total
         # |momentum|, the scale of its round-off; for one-signed momenta
         # that scale is |P(0)| itself.
         p_scale = float(np.sum(np.abs(m0.values) + np.abs(n0.values)) * g.spacing)
         summary.append(f"H drift: {_drift(hs):.3e}   P drift: {_drift(ps, p_scale):.3e}")
-        if len(eplus) >= 2:
-            up = all(b > a for a, b in zip(eplus, eplus[1:]))
-            down = all(b < a for a, b in zip(eminus, eminus[1:]))
+        if len(records) >= 2 and all(r.supp_m is None and r.supp_n is None for r in records):
+            summary.append("E_± monotonicity: not measured "
+                           "(no momentum above the support threshold)")
+        elif len(records) >= 2:
+            up = all(b.E_plus > a.E_plus for a, b in zip(records, records[1:]))
+            down = all(b.E_minus < a.E_minus for a, b in zip(records, records[1:]))
             summary.append(f"E_+ strictly increasing: {'PASS' if up else 'FAIL'}")
             summary.append(f"E_- strictly decreasing: {'PASS' if down else 'FAIL'}")
         last = records[-1]
-        summary.append(
-            f"tail slopes at t={last.t:g}: left {last.tail_slope_left:+.4f}, "
-            f"right {last.tail_slope_right:+.4f}"
-        )
+        summary.append(f"tail slopes at t={last.t:g}: left {_slope(last.tail_slope_left)}, "
+                       f"right {_slope(last.tail_slope_right)}")
         if with_pullback and last.pullback_residual is not None:
             summary.append(f"pullback residual at t={last.t:g}: "
                            f"{last.pullback_residual:.3e}")
@@ -203,18 +183,10 @@ def _run_peakon_scenario(cfg: ScenarioConfig) -> RunResult:
 
     m_count, n_count = ps.q.size, ps.r.size
     hams, totals = pk.peakon_path_invariants(path, m_count)
-    with open(cfg.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        header = (["t", "hamiltonian", "amp_total"]
-                  + [f"q_{a}" for a in range(m_count)]
-                  + [f"m_amp_{a}" for a in range(m_count)]
-                  + [f"r_{b}" for b in range(n_count)]
-                  + [f"n_amp_{b}" for b in range(n_count)])
-        writer.writerow(header)
-        for lo in range(0, len(path), _CSV_BLOCK_ROWS):
-            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-            writer.writerows(np.column_stack(
-                (path[rows, 0], hams[rows], totals[rows], path[rows, 1:])).tolist())
+    header = (["t", "hamiltonian", "amp_total"]
+              + [f"q_{a}" for a in range(m_count)] + [f"m_amp_{a}" for a in range(m_count)]
+              + [f"r_{b}" for b in range(n_count)] + [f"n_amp_{b}" for b in range(n_count)])
+    _write_csv(cfg.out, header, _table_rows(path[:, 0], hams, totals, path[:, 1:]))
 
     summary.append(f"samples: {len(path)}   (CSV: {cfg.out})")
     summary.append(f"amplitude total {totals[0]:g}: max |drift| "

@@ -27,6 +27,7 @@ from cchlab.diagnostics import CSV_COLUMNS
 from cchlab.errors import BlowUpError, ConfigurationError
 from cchlab.grid import make_grid
 from cchlab.peakons import PeakonState, evolve_peakons, peakon_hamiltonian
+from cchlab.runner import execute
 
 from conftest import bump_values
 
@@ -121,6 +122,14 @@ _REJECTIONS = [
      "line 2: key 'mode' must be one of ('complex_conjugate',)"),
     ("kind = complex\nm0 = bump(0, 8, 1)\n",
      "line 2: key 'm0' does not apply to kind=complex"),
+    ("kind = pde\nm0 = bump(27, 6, 1)\n",
+     "line 2: key 'm0' has bump support [21.0, 33.0] crossing the window edge"),
+    ("kind = pde\nm0 = gaussian(35, 1, 1)\n",
+     "line 2: key 'm0' has gaussian centre 35.0 outside the window"),
+    ("kind = pde\nm0 = mollified_peakon(35, 1, 1)\n",
+     "line 2: key 'm0' has mollified_peakon centre 35.0 outside the window"),
+    ("kind = pde\nm0 = bump(0, -1, 1)\n",
+     "line 2: key 'm0' has shape 'bump' with non-positive width -1.0"),
 ]
 
 
@@ -225,13 +234,8 @@ def test_mollified_peakon_carries_exact_discrete_mass():
     assert float(np.sum(m0.values)) * g.spacing == pytest.approx(2.5, rel=1e-12)
 
 
-def test_shape_domain_checks_happen_at_build_time():
+def test_peakon_config_has_no_field_initial_condition():
     g = make_grid(30.0, 256)
-    for expr in ("bump(27, 6, 1)", "gaussian(35, 1, 1)", "mollified_peakon(35, 1, 1)",
-                 "bump(0, -1, 1)"):
-        cfg = parse_config(f"kind = pde\nm0 = {expr}\n")
-        with pytest.raises(ConfigurationError):
-            build_initial_condition(cfg, g)
     peakon_cfg = parse_config("kind=peakon q=0 m_amps=1 r=5 n_amps=1\n")
     with pytest.raises(ConfigurationError):
         build_initial_condition(peakon_cfg, g)
@@ -251,7 +255,8 @@ def pde_configs(draw):
     return ScenarioConfig(
         kind="pde",
         out=draw(_NAME),
-        half_length=draw(st.floats(10.0, 60.0)),
+        # The bump's support lies strictly inside the window.
+        half_length=draw(st.floats(abs(center) + width, 60.0, exclude_min=True)),
         n_points=draw(st.sampled_from((16, 32, 64, 256, 2048))),
         t_end=draw(st.floats(0.0, 10.0)),
         dt=draw(st.floats(1e-5, 0.5)),
@@ -404,6 +409,8 @@ _PEAKON_SWEEP = "kind=peakon q=0 m_amps=10 r=5 n_amps=1\nt_end = 0.2\nout = sw.c
     (["peakons", "--t-end", "nan"], "t_end"),
     (["peakons", "--q0", "nan"], "q"),
     (["sweep", "field.cfg", "--vary", "out=1:2:2"], "out"),
+    # At half_length 5 the bump's support [-5, 1] reaches the window edge.
+    (["sweep", "field.cfg", "--vary", "half_length=20:5:4"], "m0"),
 ])
 def test_invalid_points_exit_1_before_any_point_runs(tmp_path, monkeypatch, capsys,
                                                      argv, key):
@@ -577,9 +584,41 @@ def test_zero_momenta_run_reports_its_drifts(tmp_path, capsys):
     assert main(["run", path]) == 0
     out = capsys.readouterr().out
     assert "H drift: 0.000e+00   P drift: 0.000e+00" in out
-    assert "tail slopes at t=0.01" in out
+    # No support was measured, so neither E_± nor a tail is a measurement.
+    assert ("E_± monotonicity: not measured (no momentum above the support threshold)"
+            in out)
+    assert "tail slopes at t=0.01: left not measured, right not measured" in out
+    assert "FAIL" not in out and "nan" not in out
     header, rows = read_rows(tmp_path / "zero.csv")
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "kind = characteristics\nm0 = bump(-2, 3, 1)\nn0 = bump(2, 3, 1)\n"
+    "t_end = 0.02\noutput_every = 0.01\nout = rec.csv\n",
+    "kind = pde\nm0 = gaussian(0, 1, 0)\nn_points = 64\nt_end = 0.01\nout = rec.csv\n",
+], ids=["tracked", "zero_momenta"])
+def test_record_csv_is_the_records_byte_for_byte(tmp_path, text):
+    cfg = parse_config(text)
+    records = execute(cfg).records
+    tracked = cfg.kind == "characteristics"
+    with open(tmp_path / "reference.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(list(CSV_COLUMNS) + (["pullback_residual"] if tracked else []))
+        for rec in records:
+            supp_m = rec.supp_m or (None, None)
+            supp_u = rec.supp_u or (None, None)
+            values = [rec.t, rec.H, rec.P, rec.Eu_plus, rec.Eu_minus, rec.Ev_plus,
+                      rec.Ev_minus, rec.E_plus, rec.E_minus, *supp_m, *supp_u,
+                      rec.tail_slope_left, rec.tail_slope_right, rec.max_abs,
+                      rec.boundary_contamination]
+            if tracked:
+                values.append(rec.pullback_residual)
+            writer.writerow(["" if x is None else repr(float(x)) for x in values])
+    written = (tmp_path / "rec.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    if not tracked:  # unmeasured supports are empty cells, unfitted slopes nan
+        assert b",,,,nan,nan," in written
 
 
 def test_uncontained_tails_exit_3(tmp_path, capsys):

@@ -18,7 +18,7 @@ from cchlab.diagnostics import (CSV_COLUMNS, DEFAULT_SUPPORT_FACTOR,
                                 zero_integral_check)
 from cchlab.errors import DomainTooSmallError, MeasurementError
 from cchlab.grid import Field, green_kernel_eval, make_grid
-from cchlab.solver import COMPLEX_CONJUGATE, PdeState
+from cchlab.solver import COMPLEX_CONJUGATE, PdeState, recover_velocity
 
 from conftest import bump_values
 
@@ -136,6 +136,7 @@ def test_zero_integrals_vanish_iff_velocity_is_compact(grid_standard,
     # One-signed momentum: both stay strictly positive (velocity has tails).
     plus, minus = zero_integral_check(pinned_momentum)
     assert plus > 0.01 and minus > 0.01
+    assert (plus, minus) == exp_moments(pinned_momentum, pinned_momentum)[:2]
     with pytest.raises(ValueError):
         zero_integral_check(Field(g, np.zeros(g.n_points, dtype=complex)))
 
@@ -186,6 +187,15 @@ def test_settings_freeze_initial_scales(grid_standard):
 
 # ----------------------------------------------------------- full record
 
+def _assert_record_matches_public_functions(rec, st):
+    """At the default thresholds a record's H, moments and contamination are
+    bit for bit what the public functions give for the same state."""
+    u, v = recover_velocity(st)
+    assert rec.H == energy_H(u, v)
+    assert (rec.Eu_plus, rec.Eu_minus, rec.Ev_plus, rec.Ev_minus) == exp_moments(st.m, st.n)
+    assert rec.boundary_contamination == boundary_contamination(u, v)
+
+
 def test_compute_record_populates_every_column(grid_standard):
     g = grid_standard
     m = Field(g, bump_values(g.nodes, -2.0, 3.0, 1.0))
@@ -201,6 +211,7 @@ def test_compute_record_populates_every_column(grid_standard):
     assert rec.max_abs == pytest.approx(np.exp(-1.0), rel=1e-4)
     assert rec.pullback_residual is None
     assert rec.E_plus == pytest.approx(rec.Eu_plus + rec.Ev_plus)
+    _assert_record_matches_public_functions(rec, st)
     assert len(CSV_COLUMNS) == 17
     assert CSV_COLUMNS == (
         "t", "H", "P",
@@ -225,3 +236,4 @@ def test_record_for_complex_self_conjugate_state(grid_standard):
     assert np.isfinite(rec.H)
     assert rec.H > 0.0  # 0.5 * (|u|^2 + |u_x|^2) integral
     assert rec.supp_m is not None
+    _assert_record_matches_public_functions(rec, st)
