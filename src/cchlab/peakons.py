@@ -49,18 +49,43 @@ the point symmetry (z, w) -> (-z, -w), which reverses time and maps the
 orbit onto itself, forces the exact half-period exchange
 m1(t + T/2) = n1(t).  For z(0) = 0 the period reduces to 4 |m1 - n1| /
 (m1 n1).
+
+The whole orbit is elementary too (waltz_exact).  Since m1 n1 = (P^2 -
+w^2) / 4 and K'(z) = -sign(z) K(z), the amplitude equation is
+
+    dw/dt = -2 m1 n1 K'(z) = 2 h sign(z),
+
+so w moves at the constant speed 2h (h > 0 for amplitudes of one sign)
+and turns only where z changes sign.  The orbit equation gives
+|z| = ln((P^2 - w^2) / (8 h)), which vanishes at w = +-W, W = sqrt(P^2 -
+8 h): every turning point of w is a collision, and w is a triangle wave
+of slope +-2h between -W and W.  The sign of z follows from dz/dt =
+-w K(z): a collision at w = -W sends z positive, and w then rises to W,
+where the next collision sends z negative while w falls back to -W.  The
+period 2 W / h is the closed form above (W / |P| = sqrt(1 - w*)).
+
+The march
+---------
+A state is marched as one flat array (q, m_amp, r, n_amp) with RK4 from
+``cchlab.march``, the rates as matrix products over the M x N pairs.  One
+peakon per family is marched on four Python floats instead: the pair rate,
+the RK4 stages (``rk4_step_floats``), the pair sign and the collision
+splits, bit for bit the array march, at about half its cost per step,
+which on 1x1 arrays is nearly all NumPy call overhead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from functools import partial
+from math import ceil, floor, isfinite, sqrt
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, DomainTooSmallError, MeasurementError
 from .grid import Field, Grid, green_kernel_eval
-from .march import rk4_step, substeps
+from .march import rk4_step, rk4_step_floats, substeps
 
 __all__ = [
     "PeakonState",
@@ -76,6 +101,7 @@ __all__ = [
     "measure_waltz",
     "measure_waltz_path",
     "waltz_period_closed_form",
+    "waltz_exact",
 ]
 
 
@@ -128,30 +154,8 @@ def _families(y: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
 
 
 def _rates(y: np.ndarray, count: int) -> np.ndarray:
-    """Time derivative of the flat state (q, m_amp, r, n_amp).
-
-    A state with one peakon per family is evaluated on Python floats: the
-    matrix form then spends nearly all its time dispatching NumPy calls on
-    1x1 arrays, and a pair has no sums, so the scalar form is the matrix
-    form bit for bit.  Two rules keep it so.  The kernel is
-    ``float(np.exp(...))``, not ``math.exp``, which rounds differently for
-    some arguments.  Each product gets ``+ 0.0``, because a 1x1 matmul
-    accumulates onto +0.0 and so never returns -0.0.  The sign comes from
-    comparisons and passes NaN through, as np.sign does.  Trains keep the
-    matrix form (_matrix_rates), whose matmuls amortise their cost.
-    """
-    if count == 1 and y.size == 4:
-        q, m_amp, r, n_amp = y.tolist()
-        d = q - r
-        k = 0.5 * float(np.exp(-abs(d)))
-        kp = -(1.0 if d > 0 else -1.0 if d < 0 else 0.0 if d == 0 else d) * k
-        return np.array((k * n_amp + 0.0, -m_amp * (kp * n_amp + 0.0),
-                         k * m_amp + 0.0, n_amp * (kp * m_amp + 0.0)))
-    return _matrix_rates(y, count)
-
-
-def _matrix_rates(y: np.ndarray, count: int) -> np.ndarray:
-    """_rates for any number of peakons per family, as matrix products."""
+    """Time derivative of the flat state (q, m_amp, r, n_amp), as matrix
+    products over the M x N pairs."""
     q, m_amp, r, n_amp = _families(y, count)
     diff = q[:, None] - r[None, :]  # shape (M, N)
     kmat = kernel(diff)
@@ -159,6 +163,29 @@ def _matrix_rates(y: np.ndarray, count: int) -> np.ndarray:
     # dq, dm_amp, dr, dn_amp; K'(r - q) = -K'(q - r)
     return np.concatenate((kmat @ n_amp, -m_amp * (kpmat @ n_amp),
                            kmat.T @ m_amp, n_amp * (kpmat.T @ m_amp)))
+
+
+def _sign(d: float) -> float:
+    """np.sign of a Python float, by comparisons: NaN passes through."""
+    return 1.0 if d > 0 else -1.0 if d < 0 else 0.0 if d == 0 else d
+
+
+def _pair_rates(y: Sequence[float]) -> tuple[float, float, float, float]:
+    """_rates of one peakon per family, on the Python floats (q, m, r, n).
+
+    A 1x1 state spends nearly all of the matrix form's time dispatching
+    NumPy calls, and a pair has no sums, so this form is the matrix form bit
+    for bit.  Two rules keep it so.  The kernel is ``float(np.exp(...))``,
+    not ``math.exp``, which rounds differently for some arguments.  Each
+    product gets ``+ 0.0``, because a 1x1 matmul accumulates onto +0.0 and
+    so never returns -0.0.
+    """
+    q, m_amp, r, n_amp = y
+    d = q - r
+    k = 0.5 * float(np.exp(-abs(d)))
+    kp = -_sign(d) * k
+    return (k * n_amp + 0.0, -m_amp * (kp * n_amp + 0.0),
+            k * m_amp + 0.0, n_amp * (kp * m_amp + 0.0))
 
 
 def _flat(ps: PeakonState) -> np.ndarray:
@@ -241,6 +268,20 @@ def _step_smooth(t: float, y: np.ndarray, signs: np.ndarray, dt: float,
     return _step_smooth(t, y, signs, 0.5 * dt, count, depth + 1)
 
 
+def _pair_step_smooth(t: float, y: list[float], sign: float, dt: float,
+                      depth: int = 0) -> tuple[float, list[float], float]:
+    """_step_smooth of one peakon per family, on the Python floats
+    (q, m, r, n) with the one pair sign; the same steps and splits, bit for
+    bit.  ``after == sign or after != after`` is the array test: the sign
+    did not change, or it came out NaN."""
+    nxt = rk4_step_floats(_pair_rates, y, dt)
+    after = _sign(nxt[0] - nxt[2])
+    if depth >= _KINK_SPLIT_DEPTH or after == sign or after != after:
+        return t + dt, nxt, after
+    t, y, sign = _pair_step_smooth(t, y, sign, 0.5 * dt, depth + 1)
+    return _pair_step_smooth(t, y, sign, 0.5 * dt, depth + 1)
+
+
 def _checked_state(row: np.ndarray, count: int) -> PeakonState:
     """The path row (t, flat state) as a PeakonState of views into the row.
 
@@ -264,10 +305,12 @@ def evolve_peakon_path(
     Row k is (t, q..., m_amp..., r..., n_amp...) after k steps, row 0 the
     start, so the path has shape (steps + 1, 1 + 2M + 2N).  The steps are
     the ``march.substeps`` of t_end - t, landing on t_end exactly.  The
-    march holds the state as one flat array and carries each step's pair
-    signs into the next; steps are subdivided across peakon collisions (see
-    _step_smooth) so the sampled path keeps fourth-order accuracy through
-    amplitude exchanges.  After each full step, and only there, the stepped
+    march holds the state as one flat array, or as a list of four Python
+    floats when there is one peakon per family (_pair_step_smooth, the
+    same path bit for bit), and carries each step's pair signs into the
+    next; steps are subdivided across peakon collisions (see _step_smooth)
+    so the sampled path keeps fourth-order accuracy through amplitude
+    exchanges.  After each full step, and only there, the stepped
     values are checked: a non-finite value, or an amplitude beyond
     blowup_factor * max(1, initial amplitude scale), raises BlowUpError
     whose ``trajectory`` is the path up to the step before and whose
@@ -292,10 +335,14 @@ def evolve_peakon_path(
             f"a path of {(t_end - ps.t) / dt + 1:.6g} samples (t_end = {t_end!r}, "
             f"dt = {dt!r}) does not fit in memory") from None
     path[0, 0], path[0, 1:] = t, y
-    signs = _pair_signs(y, count)
+    if y.size == 4 and count == 1:
+        step, y = _pair_step_smooth, y.tolist()
+        signs = _sign(y[0] - y[2])
+    else:
+        step, signs = partial(_step_smooth, count=count), _pair_signs(y, count)
     for k in range(n_steps):
-        t, y, signs = _step_smooth(t, y, signs, dt_eff, count)
-        values = y.tolist()
+        t, y, signs = step(t, y, signs, dt_eff)
+        values = y if isinstance(y, list) else y.tolist()
         if not all(map(isfinite, values)):
             raise BlowUpError(f"non-finite peakon state at t = {t:.6g}",
                               state=_checked_state(path[k], count), trajectory=path[:k + 1])
@@ -369,6 +416,40 @@ def waltz_period_closed_form(m1: float, n1: float, separation: float) -> float:
             "equal amplitudes at zero separation form a stationary pair (no orbit)"
         )
     return 16.0 * sqrt(1.0 - w_star) / (abs(total) * w_star)
+
+
+def waltz_exact(m1: float, n1: float, separation: float,
+                t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact (w, z, collision times) of a single m-peakon / n-peakon pair.
+
+    The pair starts at time 0 with amplitudes m1, n1 and r - q = separation,
+    so z(0) = q - r = -separation.  w = m1 - n1 and z = q - r are returned at
+    the times ``t`` (a scalar or an array, each >= 0), and the collision
+    times (z = 0) are those in [0, max t].  w is a triangle wave of slope
+    +-2h between -W and W, and |z| = ln((P^2 - w^2) / (8 h)); see the module
+    docstring.  The pair must orbit, as for waltz_period_closed_form.
+    """
+    waltz_period_closed_form(m1, n1, separation)  # rejects pairs that do not orbit
+    total_sq = (m1 + n1) ** 2
+    h = m1 * n1 * float(kernel(separation))
+    big_w = sqrt(total_sq - 8.0 * h)
+    slope, half = 2.0 * h, big_w / h
+    w0, z0 = m1 - n1, -separation
+    # Cycle time tau: on [0, half) w rises from -W with z > 0, on
+    # [half, 2 half) it falls from W with z < 0; collisions at tau = k half.
+    if z0 > 0.0 or (z0 == 0.0 and w0 < 0.0):
+        tau0 = (w0 + big_w) / slope
+    else:
+        tau0 = half + (big_w - w0) / slope
+    times = np.asarray(t, dtype=np.float64)
+    tau = np.mod(tau0 + times, 2.0 * half)
+    rising = tau < half
+    w = np.where(rising, slope * tau - big_w, big_w - slope * (tau - half))
+    # Round-off can put P^2 - w^2 a hair below 8h at a turning point.
+    z = np.where(rising, 1.0, -1.0) * np.log(np.maximum((total_sq - w * w) / (8.0 * h), 1.0))
+    first = ceil(tau0 / half)
+    last = floor((tau0 + float(np.max(times, initial=0.0))) / half)
+    return w, z, np.arange(first, last + 1) * half - tau0
 
 
 def _refine_crossing(times: np.ndarray, c: np.ndarray, i: int) -> float:

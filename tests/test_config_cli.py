@@ -474,15 +474,16 @@ def test_blowup_exits_2_with_partial_output(tmp_path, capsys):
 
 def test_non_finite_peakon_state_exits_2_with_partial_output(tmp_path, capsys, monkeypatch):
     # No configuration is known to overflow, so poison the rates from the
-    # first stage of step 11 on.
-    real_rates, calls = cchlab.peakons._rates, []
+    # first stage of step 11 on.  A pair marches on floats, through
+    # _pair_rates.
+    real_rates, calls = cchlab.peakons._pair_rates, []
 
-    def poisoned(y, count):
+    def poisoned(y):
         calls.append(None)
-        rates = real_rates(y, count)
-        return rates * np.nan if len(calls) > 40 else rates
+        rates = real_rates(y)
+        return [v * np.nan for v in rates] if len(calls) > 40 else rates
 
-    monkeypatch.setattr(cchlab.peakons, "_rates", poisoned)
+    monkeypatch.setattr(cchlab.peakons, "_pair_rates", poisoned)
     path = write_cfg(tmp_path, (
         "kind=peakon q=0 m_amps=10 r=5 n_amps=1\n"
         "t_end = 1\nout = nan.csv\n"

@@ -1,4 +1,4 @@
-"""The shared RK4 step and landing rule."""
+"""The shared RK4 step, on arrays and on floats, and the landing rule."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from math import exp
 import numpy as np
 import pytest
 
-from cchlab.march import rk4_step, substeps
+from cchlab.march import rk4_step, rk4_step_floats, substeps
+from cchlab.peakons import _pair_rates, _rates
 
 
 def test_rk4_step_calls_rate_four_times_at_the_stage_points():
@@ -27,6 +28,40 @@ def test_rk4_step_calls_rate_four_times_at_the_stage_points():
     assert len(calls) == 4
     for got, want in zip(calls, (y0, y0 + 0.5 * dt * k1, y0 + 0.5 * dt * k2, y0 + dt * k3)):
         np.testing.assert_array_equal(got, want)
+
+
+def test_rk4_step_floats_calls_rate_four_times_at_the_stage_points():
+    calls = []
+
+    def rate(y):
+        calls.append(list(y))
+        return [c * (len(calls) + a) for c, a in zip((1.0, -2.0), y)]
+
+    y0, dt = np.array([0.5, 2.0]), 0.1
+    k1 = np.array([1.0, -2.0]) * (1 + y0)
+    k2 = np.array([1.0, -2.0]) * (2 + y0 + 0.5 * dt * k1)
+    k3 = np.array([1.0, -2.0]) * (3 + y0 + 0.5 * dt * k2)
+    rk4_step_floats(rate, y0.tolist(), dt)
+    assert len(calls) == 4
+    for got, want in zip(calls, (y0, y0 + 0.5 * dt * k1, y0 + 0.5 * dt * k2, y0 + dt * k3)):
+        assert got == want.tolist()
+
+
+_PERM, _COEF = [2, 0, 3, 1], np.array([0.7, -1.3, 2.1, -0.4])
+
+
+@pytest.mark.parametrize("array_rate, float_rate", [
+    (lambda y: _COEF * y[_PERM], lambda y: [c * y[p] for c, p in zip(_COEF.tolist(), _PERM)]),
+    (lambda y: _rates(y, 1), _pair_rates),
+], ids=["linear", "pair"])
+def test_rk4_step_floats_is_rk4_step_bit_for_bit(array_rate, float_rate):
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(2000, 4)) * 10.0 ** rng.integers(-3, 3, size=(2000, 4))
+    states[::4, 2] = states[::4, 0]  # exact collisions for the pair rate
+    for y, dt in zip(states, 10.0 ** rng.uniform(-5, 0, size=len(states))):
+        want = rk4_step(array_rate, y, dt)
+        got = rk4_step_floats(float_rate, y.tolist(), float(dt))
+        assert np.array(got).tobytes() == want.tobytes(), (y, dt)
 
 
 @pytest.mark.parametrize("dt", [0.4, 0.2, 0.1, 0.05])

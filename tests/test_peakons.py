@@ -11,11 +11,12 @@ import cchlab.peakons as peakons_module
 from cchlab.errors import (BlowUpError, ConfigurationError, DomainTooSmallError,
                            MeasurementError)
 from cchlab.grid import green_kernel_eval, make_grid
+from cchlab.march import substeps
 from cchlab.peakons import (PeakonState, evolve_peakon_path, evolve_peakons,
                             kernel, kernel_derivative, measure_waltz,
                             measure_waltz_path, peakon_fields,
                             peakon_hamiltonian, peakon_path_invariants,
-                            peakon_rhs, waltz_period_closed_form)
+                            peakon_rhs, waltz_exact, waltz_period_closed_form)
 
 LN2 = float(np.log(2.0))
 
@@ -71,9 +72,9 @@ def test_total_amplitude_rate_always_cancels(q, r, data):
 
 
 def test_pair_rates_are_the_matrix_rates_bit_for_bit():
-    # One peakon per family takes the scalar branch of _rates; it must give
-    # the matrix form's bits, sign of zero and NaN included, on random pairs
-    # with exact collisions (q = r) and special values mixed in.
+    # The pair march evaluates one peakon per family with _pair_rates; it must
+    # give the matrix form's bits, sign of zero and NaN included, on random
+    # pairs with exact collisions (q = r) and special values mixed in.
     rng = np.random.default_rng(7)
     states = rng.normal(size=(100_000, 4)) * 10.0 ** rng.integers(-3, 4, size=(100_000, 4))
     states[::5, 2] = states[::5, 0]
@@ -82,7 +83,8 @@ def test_pair_rates_are_the_matrix_rates_bit_for_bit():
     mismatches = []
     with np.errstate(all="ignore"):  # the matrix form warns on inf and NaN
         for y in states:
-            got, want = peakons_module._rates(y, 1), peakons_module._matrix_rates(y, 1)
+            got = np.array(peakons_module._pair_rates(y.tolist()))
+            want = peakons_module._rates(y, 1)
             if not np.array_equal(got.view(np.int64), want.view(np.int64)):
                 mismatches.append((y, got, want))
     assert not mismatches, mismatches[:3]
@@ -113,19 +115,23 @@ def test_evolve_validation_and_blowup_guard():
     assert info.value.trajectory == [ps]
 
 
-def test_non_finite_state_raises_blowup_with_the_states_before_it(monkeypatch):
-    # Poison the rates from the first stage of step 11: the march must stop
-    # with BlowUpError after step 10, not split the NaN step 2^20 times or
-    # let a FloatingPointError escape.
-    real_rates, calls = peakons_module._rates, []
+def _poison_from_call_41(monkeypatch, name):
+    """Replace the rate function ``name`` by one that returns NaN rates from
+    its 41st call, the first stage of step 11, on; returns the call log."""
+    real_rates, calls = getattr(peakons_module, name), []
 
-    def poisoned(y, count):
+    def poisoned(*args):
         calls.append(None)
-        rates = real_rates(y, count)
-        return rates * np.nan if len(calls) > 40 else rates
+        rates = real_rates(*args)
+        if len(calls) <= 40:
+            return rates
+        return rates * np.nan if isinstance(rates, np.ndarray) else [v * np.nan for v in rates]
 
-    monkeypatch.setattr(peakons_module, "_rates", poisoned)
-    ps = PeakonState(0.0, [0.0], [10.0], [5.0], [1.0])
+    monkeypatch.setattr(peakons_module, name, poisoned)
+    return calls
+
+
+def _assert_nan_step_stops_the_march(ps, calls):
     with pytest.raises(BlowUpError, match=r"non-finite peakon state at t = 0\.011") as info:
         evolve_peakons(ps, 1.0, 1e-3)
     traj = info.value.trajectory
@@ -133,6 +139,22 @@ def test_non_finite_state_raises_blowup_with_the_states_before_it(monkeypatch):
     assert traj[-1].t == pytest.approx(0.010, abs=1e-15)
     assert all(np.all(np.isfinite(s.m_amp)) for s in traj)
     assert len(calls) == 44  # the poisoned step was not subdivided
+
+
+def test_non_finite_state_raises_blowup_with_the_states_before_it(monkeypatch):
+    # Poison the rates from the first stage of step 11: the march must stop
+    # with BlowUpError after step 10, not split the NaN step 2^20 times or
+    # let a FloatingPointError escape.  A pair marches on floats, through
+    # _pair_rates.
+    calls = _poison_from_call_41(monkeypatch, "_pair_rates")
+    _assert_nan_step_stops_the_march(PeakonState(0.0, [0.0], [10.0], [5.0], [1.0]), calls)
+
+
+def test_non_finite_train_state_raises_blowup_with_the_states_before_it(monkeypatch):
+    # The same for a 2x1 train, which marches on arrays through _rates.
+    calls = _poison_from_call_41(monkeypatch, "_rates")
+    _assert_nan_step_stops_the_march(
+        PeakonState(0.0, [0.0, -3.0], [10.0, 1.0], [5.0], [1.0]), calls)
 
 
 def test_blowup_in_the_path_march_carries_the_partial_path():
@@ -244,6 +266,67 @@ def test_path_rows_are_the_listed_states_bit_for_bit(ps, t_end):
         assert row[1:].tobytes() == np.concatenate((s.q, s.m_amp, s.r, s.n_amp)).tobytes()
 
 
+def _array_pair_path(ps, t_end, dt, blowup_factor=1e6):
+    """evolve_peakon_path of a 1x1 state, marched on arrays with _step_smooth:
+    (path, BlowUpError message or None)."""
+    y = np.concatenate((ps.q, ps.m_amp, ps.r, ps.n_amp))
+    threshold = blowup_factor * max(1.0, abs(y[1]), abs(y[3]))
+    n_steps, dt_eff = substeps(t_end - ps.t, dt)
+    t, signs, rows = ps.t, peakons_module._pair_signs(y, 1), [(ps.t, *y)]
+    for k in range(n_steps):
+        t, y, signs = peakons_module._step_smooth(t, y, signs, dt_eff, 1)
+        peak = max(abs(y[1]), abs(y[3]))
+        if peak > threshold:
+            return np.array(rows), (f"peakon amplitude {peak:.3e} exceeded the blow-up "
+                                    f"threshold {threshold:.3e} at t = {t:.6g}")
+        rows.append((float(t_end) if k == n_steps - 1 else t, *y))
+    return np.array(rows), None
+
+
+@pytest.mark.parametrize("q, m, r, n, t_end, factor, orbits", [
+    (0.0, 10.0, 1.0, 1.0, 13.0, 1e6, True),      # the canonical waltz
+    (0.0, 10.0, 0.0, 1.0, 6.5, 1e6, True),       # scan points
+    (0.0, 10.0, 0.4, 1.0, 6.5, 1e6, True),
+    (0.0, 10.0, 5.0, 1.0, 20.0, 1e6, False),
+    (0.0, 10.0, 6.1e-4, 1.0, 6.5, 1e6, True),    # collisions split steps
+    (0.0, 10.0, 3e-3, 1.0, 6.5, 1e6, True),
+    (0.0, 2.0, 1.0, -1.0, 5.0, 1e6, False),      # opposite signs separate
+    (0.0, 2.0, 1.0, -1.0, 5.0, 1.2, False),      # ... and cross the threshold
+], ids=["waltz", "r0", "r0.4", "r5", "sep6.1e-4", "sep3e-3", "m2n-1", "blowup"])
+def test_pair_march_is_the_array_march_bit_for_bit(q, m, r, n, t_end, factor, orbits):
+    ps = PeakonState(0.0, [q], [m], [r], [n])
+    want, message = _array_pair_path(ps, t_end, 1e-3, factor)
+    if message is None:
+        path = evolve_peakon_path(ps, t_end, 1e-3, blowup_factor=factor)
+    else:
+        with pytest.raises(BlowUpError) as info:
+            evolve_peakon_path(ps, t_end, 1e-3, blowup_factor=factor)
+        assert str(info.value) == message
+        path, state = info.value.trajectory, info.value.state
+        assert state.t == path[-1, 0]
+        assert [state.q[0], state.m_amp[0], state.r[0], state.n_amp[0]] == path[-1, 1:].tolist()
+    assert path.shape == want.shape and path.tobytes() == want.tobytes()
+    if orbits:
+        assert measure_waltz_path(path) == measure_waltz_path(want)
+
+
+def test_collision_cases_split_steps(monkeypatch):
+    # The two close starts of the bit-identity test cross inside steps, so the
+    # pair march's split recursion is exercised there.
+    depths = []
+    real = peakons_module._pair_step_smooth
+
+    def spy(t, y, sign, dt, depth=0):
+        depths.append(depth)
+        return real(t, y, sign, dt, depth)
+
+    monkeypatch.setattr(peakons_module, "_pair_step_smooth", spy)
+    for sep in (6.1e-4, 3e-3):
+        depths.clear()
+        evolve_peakon_path(PeakonState(0.0, [0.0], [10.0], [sep], [1.0]), 6.5, 1e-3)
+        assert max(depths) == peakons_module._KINK_SPLIT_DEPTH
+
+
 def _random_train_path(rng, m_count, n_count, rows=40):
     path = rng.normal(size=(rows, 1 + 2 * (m_count + n_count)))
     path[:, 0] = np.arange(rows)
@@ -329,6 +412,38 @@ def test_waltz_measurement_error_paths():
     crowd = PeakonState(0.0, [0.0, 1.0], [1.0, 1.0], [2.0], [1.0])
     with pytest.raises(ValueError):
         measure_waltz(evolve_peakons(crowd, 0.1, 1e-2))
+
+
+def test_exact_waltz_period_and_collisions():
+    w, z, collisions = waltz_exact(10.0, 1.0, 1.0, [0.0, 1.0])
+    assert w[0] == 9.0 and z[0] == pytest.approx(-1.0, abs=1e-15)
+    period = waltz_period_closed_form(10.0, 1.0, 1.0)
+    w, z, collisions = waltz_exact(10.0, 1.0, 1.0, [period, 3.0 * period])
+    assert w == pytest.approx([9.0, 9.0], abs=1e-12)
+    assert z == pytest.approx([-1.0, -1.0], abs=1e-12)
+    assert np.diff(collisions) == pytest.approx([0.5 * period] * 5, rel=1e-12)
+    # a coincident start is a collision at t = 0, and the period is 4|m - n| / (m n)
+    assert waltz_exact(10.0, 1.0, 0.0, 3.6)[2] == pytest.approx([0.0, 1.8, 3.6], abs=1e-12)
+    with pytest.raises(ConfigurationError):
+        waltz_exact(10.0, -1.0, 1.0, 1.0)
+
+
+def test_canonical_waltz_path_follows_the_exact_orbit():
+    # J's measurement of the same march: 4.6e-12 before the first collision
+    # and 1.7e-9 after it up to t = 6.5 (7.0e-9 to t = 13); the error after a
+    # collision is the split leaf that straddles the kink.
+    path = evolve_peakon_path(WALTZ, 13.0, 1e-3)
+    w, z, collisions = waltz_exact(10.0, 1.0, 1.0, path[:, 0])
+    assert len(collisions) == 2
+    error = np.maximum(np.abs(path[:, 2] - path[:, 4] - w), np.abs(path[:, 1] - path[:, 3] - z))
+    before = path[:, 0] < collisions[0]
+    assert np.max(error[before]) < 1e-10
+    assert np.max(error[~before]) < 1e-7
+    # The exact period is twice the collision spacing and the exact swap
+    # error is 0; measured 1.9e-9 and 5.8e-10.
+    period, swap_error = measure_waltz_path(path)
+    assert period == pytest.approx(2.0 * (collisions[1] - collisions[0]), abs=1e-7)
+    assert swap_error < 3e-8
 
 
 # ------------------------------------------------------------------- fields
