@@ -27,6 +27,7 @@ from .grid import Field, Grid, interp_periodic, periodic_stencil
 from .march import rk4_step
 
 __all__ = [
+    "DEFAULT_LABEL_STRIDE",
     "CharacteristicSet",
     "init_characteristics",
     "advect",
@@ -80,7 +81,11 @@ class CharacteristicSet:
                          np.log(np.concatenate((self.phi_x, self.xi_x)))))
 
 
-def init_characteristics(g: Grid, t: float = 0.0, stride: int = 4) -> CharacteristicSet:
+DEFAULT_LABEL_STRIDE = 4
+
+
+def init_characteristics(g: Grid, t: float = 0.0,
+                         stride: int = DEFAULT_LABEL_STRIDE) -> CharacteristicSet:
     """Identity flows labelled at every ``stride``-th grid node."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")

@@ -9,12 +9,10 @@ Verbs:
 Every verb's config passes the checks of check; sweep rejects an invalid
 point, or points sharing an output file, before it runs any.
 
-Exit codes: 0 = ok, 1 = configuration error, 2 = blow-up, 3 = measurement
-invalid (window too small / trajectory too short / characteristic ordering
-collapsed), 4 = unstable (time step above the advective stability bound
-during the march).  The environment variable CCCH_THREADS, an integer, caps
-sweep parallelism.  sweep cannot vary ``out``: each point writes to a name
-derived from the base config's out and the varied value.
+Exit codes are listed in the README and in ``cchlab.runner``; a config that
+cannot be read or parsed exits 1.  The environment variable CCCH_THREADS, an
+integer, caps sweep parallelism.  sweep cannot vary ``out``: each point
+writes to a name derived from the base config's out and the varied value.
 """
 
 from __future__ import annotations
@@ -37,6 +35,8 @@ def _load_config(path: str) -> ScenarioConfig:
             text = handle.read()
     except OSError as err:
         raise ConfigurationError(f"cannot read config {path!r}: {err}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"config {path!r} is not UTF-8 text: {err}") from None
     return parse_config(text)
 
 

@@ -31,8 +31,11 @@ from typing import Optional
 
 import numpy as np
 
+from .characteristics import DEFAULT_LABEL_STRIDE
+from .diagnostics import DEFAULT_SUPPORT_FACTOR, DEFAULT_TAIL_TOLERANCE
 from .errors import ConfigurationError
 from .grid import Field, Grid, make_grid
+from .march import DEFAULT_BLOWUP_FACTOR
 
 __all__ = [
     "ScenarioConfig",
@@ -67,12 +70,12 @@ class ScenarioConfig:
     v0: Optional[str] = None
     u0_im: Optional[str] = None
     # thresholds
-    epsilon_support: float = 1e-7
-    tail_tolerance: float = 1e-8
-    blowup_threshold: float = 1e6
+    epsilon_support: float = DEFAULT_SUPPORT_FACTOR
+    tail_tolerance: float = DEFAULT_TAIL_TOLERANCE
+    blowup_threshold: float = DEFAULT_BLOWUP_FACTOR
     # optional field dumps and characteristic labelling
     snapshot_times: str = ""
-    label_stride: int = 4
+    label_stride: int = DEFAULT_LABEL_STRIDE
     # peakon scenarios: comma-separated lists
     q: Optional[str] = None
     m_amps: Optional[str] = None
@@ -154,11 +157,9 @@ class ScenarioConfig:
 _KEY_TYPES = {f.name: f.type for f in dataclass_fields(ScenarioConfig)}
 
 _PEAKON_ONLY = ("q", "m_amps", "r", "n_amps")
-_FIELD_ONLY = {
-    "half_length", "n_points", "output_every", "mode",
-    "m0", "n0", "u0", "v0", "u0_im",
-    "epsilon_support", "tail_tolerance", "snapshot_times", "label_stride",
-}
+# Keys every kind uses; each other key is peakon-only or field-only.
+_SHARED = ("kind", "out", "t_end", "dt", "blowup_threshold")
+_FIELD_ONLY = set(_KEY_TYPES).difference(_PEAKON_ONLY, _SHARED)
 
 # Defaults that differ by kind, filled in by parse_config.
 _KIND_DEFAULTS = {"peakon": {"t_end": 20.0}, "complex": {"mode": "complex_conjugate"}}

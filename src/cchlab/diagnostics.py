@@ -250,12 +250,12 @@ def _check_contamination(u: Field, v: Field, tolerance: float) -> float:
     return contamination
 
 
-def exp_moments(
-    m: Field,
-    n: Field,
-    u: Optional[Field] = None,
-    v: Optional[Field] = None,
-) -> tuple[float, float, float, float]:
+def _support_threshold(f: Field) -> float:
+    """DEFAULT_SUPPORT_FACTOR times the magnitude of f, floored above zero."""
+    return DEFAULT_SUPPORT_FACTOR * max(f.max_abs(), 1e-300)
+
+
+def exp_moments(m: Field, n: Field) -> tuple[float, float, float, float]:
     """Exponentially weighted momentum integrals (Eu_plus, Eu_minus,
     Ev_plus, Ev_minus).
 
@@ -271,13 +271,11 @@ def exp_moments(
     """
     _require_same_grid(m, n)
     g = m.grid
-    if u is None:
-        u = Field(g, g.inv_helmholtz(m.values))
-    if v is None:
-        v = Field(g, g.inv_helmholtz(n.values))
+    u = Field(g, g.inv_helmholtz(m.values))
+    v = Field(g, g.inv_helmholtz(n.values))
     _check_contamination(u, v, DEFAULT_TAIL_TOLERANCE)
-    supp_m = support_measure(m, DEFAULT_SUPPORT_FACTOR * max(m.max_abs(), 1e-300))
-    supp_n = support_measure(n, DEFAULT_SUPPORT_FACTOR * max(n.max_abs(), 1e-300))
+    supp_m = support_measure(m, _support_threshold(m))
+    supp_n = support_measure(n, _support_threshold(n))
     return (_moment_pair(u.values, g.deriv(u.values), supp_m, g)
             + _moment_pair(v.values, g.deriv(v.values), supp_n, g))
 
@@ -289,18 +287,10 @@ def quadrature_noise_floor(m: Field, n: Field) -> float:
     weighted integral; measured moments below a few of these are
     indistinguishable from zero.
     """
-    eps_m = DEFAULT_SUPPORT_FACTOR * max(m.max_abs(), 1e-300)
-    eps_n = DEFAULT_SUPPORT_FACTOR * max(n.max_abs(), 1e-300)
-    m_abs = Field(m.grid, np.abs(m.values))
-    n_abs = Field(n.grid, np.abs(n.values))
-    scale = max(
-        _windowed_weighted_integral(m_abs, +1, eps_m),
-        _windowed_weighted_integral(m_abs, -1, eps_m),
-        _windowed_weighted_integral(n_abs, +1, eps_n),
-        _windowed_weighted_integral(n_abs, -1, eps_n),
-        1e-300,
-    )
-    return float(np.finfo(np.float64).eps) * m.grid.n_points * scale
+    scale = max(_windowed_weighted_integral(Field(f.grid, np.abs(f.values)), sign,
+                                            _support_threshold(f))
+                for f in (m, n) for sign in (+1, -1))
+    return float(np.finfo(np.float64).eps) * m.grid.n_points * max(scale, 1e-300)
 
 
 def moment_rate_check(

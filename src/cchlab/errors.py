@@ -1,9 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes: configuration problems exit 1,
-blow-up exits 2, invalid-measurement conditions (domain too small,
-trajectory too short, characteristic ordering collapsed) exit 3, and a time
-step found to exceed the advective stability bound during a run exits 4.
+The runner and the CLI map these onto the exit codes listed in the README
+and in ``cchlab.runner``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""The RK4 step and the landing rule shared by every march in the package."""
+"""The RK4 step, the landing rule, the dt check and the blow-up limit shared
+by every march in the package."""
 
 from __future__ import annotations
 
@@ -7,7 +8,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["rk4_step", "rk4_step_floats", "substeps"]
+from .errors import ConfigurationError
+
+__all__ = ["DEFAULT_BLOWUP_FACTOR", "rk4_step", "rk4_step_floats", "substeps",
+           "check_dt", "blowup_limit"]
+
+# A march stops with BlowUpError once a momentum or amplitude exceeds this
+# many times the initial scale (see blowup_limit).
+DEFAULT_BLOWUP_FACTOR = 1e6
 
 
 def rk4_step(rate: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float) -> np.ndarray:
@@ -48,3 +56,14 @@ def substeps(span: float, dt: float) -> tuple[int, float]:
     round-off of output times, gains no extra step."""
     count = max(1, ceil(span / dt - 1e-9))
     return count, span / count
+
+
+def check_dt(dt: float) -> None:
+    """Reject a march step size that is not positive and finite."""
+    if dt <= 0.0 or not np.isfinite(dt):
+        raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
+
+
+def blowup_limit(factor: float, *amplitudes: np.ndarray) -> float:
+    """factor * max(1, max |a|) over the non-empty arrays ``amplitudes``."""
+    return factor * max([1.0] + [float(np.max(np.abs(a))) for a in amplitudes if a.size])

@@ -69,9 +69,9 @@ The march
 A state is marched as one flat array (q, m_amp, r, n_amp) with RK4 from
 ``cchlab.march``, the rates as matrix products over the M x N pairs.  One
 peakon per family is marched on four Python floats instead: the pair rate,
-the RK4 stages (``rk4_step_floats``), the pair sign and the collision
-splits, bit for bit the array march, at about half its cost per step,
-which on 1x1 arrays is nearly all NumPy call overhead.
+the RK4 stages (``rk4_step_floats``) and the pair sign, bit for bit the
+array march, at about half its cost per step, which on 1x1 arrays is
+nearly all NumPy call overhead.  Both forms share one collision split.
 """
 
 from __future__ import annotations
@@ -85,7 +85,8 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, DomainTooSmallError, MeasurementError
 from .grid import Field, Grid, green_kernel_eval
-from .march import rk4_step, rk4_step_floats, substeps
+from .march import (DEFAULT_BLOWUP_FACTOR, blowup_limit, check_dt, rk4_step,
+                    rk4_step_floats, substeps)
 
 __all__ = [
     "PeakonState",
@@ -148,9 +149,10 @@ class PeakonRates:
 
 
 def _families(y: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
-    """Views (q, m_amp, r, n_amp) of a flat state with ``count`` m-peakons."""
-    mid = (y.size + 2 * count) // 2
-    return y[:count], y[count:2 * count], y[2 * count:mid], y[mid:]
+    """Views (q, m_amp, r, n_amp) of a flat state with ``count`` m-peakons,
+    or of a stack of them: the slices run along the last axis."""
+    mid = (y.shape[-1] + 2 * count) // 2
+    return y[..., :count], y[..., count:2 * count], y[..., 2 * count:mid], y[..., mid:]
 
 
 def _rates(y: np.ndarray, count: int) -> np.ndarray:
@@ -241,45 +243,47 @@ def _pair_signs(y: np.ndarray, count: int) -> np.ndarray:
     return np.sign(q[:, None] - r[None, :])
 
 
-def _step_smooth(t: float, y: np.ndarray, signs: np.ndarray, dt: float,
-                 count: int, depth: int = 0) -> tuple[float, np.ndarray, np.ndarray]:
-    """RK4 step of the flat state y that subdivides across collisions.
+def _split_step(step, t: float, y, signs, dt: float, depth: int = 0):
+    """RK4 step of a peakon state y that subdivides across collisions.
 
-    ``signs`` are the pair signs of y (see _pair_signs); the step returns
-    (t + dt, stepped state, its pair signs), so the caller carries the
-    signs into the next step instead of computing them again.  The
-    right-hand side is smooth except where some q_a - r_b changes sign (the
-    kernel slope K' jumps there), and a step that straddles such a crossing
-    only reaches first-order accuracy.  When a sign changes the step is
-    redone as two halves, recursively to _KINK_SPLIT_DEPTH, which brackets
-    each transversal crossing into ~dt/2^20 and keeps the fourth-order
-    behaviour of the smooth pieces.  A step whose positions came out NaN is
-    returned unsplit: halving cannot mend it, and evolve_peakon_path reports
-    it.
+    ``step(y, signs, dt)`` is one plain step of y, whose pair signs (of
+    q_a - r_b) are ``signs``; it returns (stepped state, its pair signs,
+    crossed), crossed when a sign changed and none came out NaN.  Returns
+    (t + dt, stepped state, its pair signs), so the caller carries the signs
+    into the next step.  The right-hand side is smooth except where some
+    q_a - r_b changes sign (the kernel slope K' jumps there), and a step
+    that straddles such a crossing only reaches first-order accuracy, so a
+    crossed step is redone as two halves, recursively to _KINK_SPLIT_DEPTH:
+    each transversal crossing is bracketed into ~dt/2^20 and the smooth
+    pieces keep fourth order.  A NaN step is returned unsplit: halving
+    cannot mend it, and evolve_peakon_path reports it.
     """
+    nxt, after, crossed = step(y, signs, dt)
+    if not crossed or depth >= _KINK_SPLIT_DEPTH:
+        return t + dt, nxt, after
+    t, y, signs = _split_step(step, t, y, signs, 0.5 * dt, depth + 1)
+    return _split_step(step, t, y, signs, 0.5 * dt, depth + 1)
+
+
+def _train_step(y: np.ndarray, signs: np.ndarray, dt: float,
+                count: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The step of _split_step for the flat state y with ``count`` m-peakons
+    and its (M, N) pair signs (see _pair_signs)."""
     nxt = rk4_step(lambda z: _rates(z, count), y, dt)
     after = _pair_signs(nxt, count)
     # NaN compares unequal, so a NaN step always reaches the isnan test, and
     # a step whose signs did not change never calls it.
-    if (depth >= _KINK_SPLIT_DEPTH or not (signs != after).any()
-            or np.isnan(after).any()):
-        return t + dt, nxt, after
-    t, y, signs = _step_smooth(t, y, signs, 0.5 * dt, count, depth + 1)
-    return _step_smooth(t, y, signs, 0.5 * dt, count, depth + 1)
+    return nxt, after, (signs != after).any() and not np.isnan(after).any()
 
 
-def _pair_step_smooth(t: float, y: list[float], sign: float, dt: float,
-                      depth: int = 0) -> tuple[float, list[float], float]:
-    """_step_smooth of one peakon per family, on the Python floats
-    (q, m, r, n) with the one pair sign; the same steps and splits, bit for
-    bit.  ``after == sign or after != after`` is the array test: the sign
-    did not change, or it came out NaN."""
+def _pair_step(y: list[float], sign: float, dt: float) -> tuple[list[float], float, bool]:
+    """_train_step of one peakon per family, on the Python floats
+    (q, m, r, n) with the one pair sign; the same step and test, bit for
+    bit.  ``after == sign or after != after`` is the array test's negation:
+    the sign did not change, or it came out NaN."""
     nxt = rk4_step_floats(_pair_rates, y, dt)
     after = _sign(nxt[0] - nxt[2])
-    if depth >= _KINK_SPLIT_DEPTH or after == sign or after != after:
-        return t + dt, nxt, after
-    t, y, sign = _pair_step_smooth(t, y, sign, 0.5 * dt, depth + 1)
-    return _pair_step_smooth(t, y, sign, 0.5 * dt, depth + 1)
+    return nxt, after, not (after == sign or after != after)
 
 
 def _checked_state(row: np.ndarray, count: int) -> PeakonState:
@@ -297,18 +301,17 @@ def _checked_state(row: np.ndarray, count: int) -> PeakonState:
     return ps
 
 
-def evolve_peakon_path(
-    ps: PeakonState, t_end: float, dt: float, *, blowup_factor: float = 1e6
-) -> np.ndarray:
+def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
+                       blowup_factor: float = DEFAULT_BLOWUP_FACTOR) -> np.ndarray:
     """Fixed-step RK4 march into one path array, one row per sample.
 
     Row k is (t, q..., m_amp..., r..., n_amp...) after k steps, row 0 the
     start, so the path has shape (steps + 1, 1 + 2M + 2N).  The steps are
     the ``march.substeps`` of t_end - t, landing on t_end exactly.  The
-    march holds the state as one flat array, or as a list of four Python
-    floats when there is one peakon per family (_pair_step_smooth, the
+    march holds the state as one flat array (_train_step), or as a list of
+    four Python floats when there is one peakon per family (_pair_step, the
     same path bit for bit), and carries each step's pair signs into the
-    next; steps are subdivided across peakon collisions (see _step_smooth)
+    next; steps are subdivided across peakon collisions (see _split_step)
     so the sampled path keeps fourth-order accuracy through amplitude
     exchanges.  After each full step, and only there, the stepped
     values are checked: a non-finite value, or an amplitude beyond
@@ -317,13 +320,10 @@ def evolve_peakon_path(
     ``state`` is that path's last row as a PeakonState.  A path too long to
     allocate raises ConfigurationError naming its sample count.
     """
-    if dt <= 0.0 or not np.isfinite(dt):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
+    check_dt(dt)
     if t_end < ps.t:
         raise ConfigurationError(f"t_end must be >= start time {ps.t}, got {t_end}")
-    amp0 = max((float(np.max(np.abs(a))) for a in (ps.m_amp, ps.n_amp) if a.size),
-               default=0.0)
-    threshold = blowup_factor * max(1.0, amp0)
+    threshold = blowup_limit(blowup_factor, ps.m_amp, ps.n_amp)
     count = ps.q.size
     n_start = 2 * count + ps.r.size
     t, y = ps.t, _flat(ps)
@@ -336,12 +336,12 @@ def evolve_peakon_path(
             f"dt = {dt!r}) does not fit in memory") from None
     path[0, 0], path[0, 1:] = t, y
     if y.size == 4 and count == 1:
-        step, y = _pair_step_smooth, y.tolist()
+        step, y = _pair_step, y.tolist()
         signs = _sign(y[0] - y[2])
     else:
-        step, signs = partial(_step_smooth, count=count), _pair_signs(y, count)
+        step, signs = partial(_train_step, count=count), _pair_signs(y, count)
     for k in range(n_steps):
-        t, y, signs = step(t, y, signs, dt_eff)
+        t, y, signs = _split_step(step, t, y, signs, dt_eff)
         values = y if isinstance(y, list) else y.tolist()
         if not all(map(isfinite, values)):
             raise BlowUpError(f"non-finite peakon state at t = {t:.6g}",
@@ -358,9 +358,8 @@ def evolve_peakon_path(
     return path
 
 
-def evolve_peakons(
-    ps: PeakonState, t_end: float, dt: float, *, blowup_factor: float = 1e6
-) -> list[PeakonState]:
+def evolve_peakons(ps: PeakonState, t_end: float, dt: float, *,
+                   blowup_factor: float = DEFAULT_BLOWUP_FACTOR) -> list[PeakonState]:
     """Fixed-step RK4 march; returns ``ps`` and the state after every step.
 
     The list form of evolve_peakon_path, with the same steps, checks and
@@ -385,10 +384,7 @@ def peakon_path_invariants(path: np.ndarray, count: int) -> tuple[np.ndarray, np
     value is bitwise the one-state value; the total is sum(m) + sum(n).  A
     path with an empty family has a Hamiltonian of 0.0 throughout.
     """
-    states = path[:, 1:]
-    mid = (states.shape[1] + 2 * count) // 2
-    q, m_amp = states[:, :count], states[:, count:2 * count]
-    r, n_amp = states[:, 2 * count:mid], states[:, mid:]
+    q, m_amp, r, n_amp = _families(path[:, 1:], count)
     total = m_amp.sum(axis=1) + n_amp.sum(axis=1)
     if count == 0 or r.shape[1] == 0:
         return np.zeros(len(path)), total

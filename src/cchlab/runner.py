@@ -7,8 +7,8 @@ whose ordering collapsed), 4 = unstable (the time step exceeded the
 advective stability bound during the march).  A blow-up, invalid
 measurement or instability met during a march still writes the output
 completed so far.  A config has checked its values when built; a run can
-still meet a time list or peakon path too long to allocate: status 1 and
-one CONFIG ERROR line, before any output.
+still meet an output file it cannot write, or a time list or peakon path
+too long to allocate: status 1 and one CONFIG ERROR line, before any output.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import characteristics as chars
 from . import diagnostics as diag
 from . import peakons as pk
 from . import solver
-from .config import (ScenarioConfig, build_grid, build_initial_condition,
+from .config import (_SNAPSHOT_TOL, ScenarioConfig, build_grid, build_initial_condition,
                      output_times, parse_float_list)
 from .errors import (BlowUpError, ConfigurationError, DomainTooSmallError,
                      MeasurementError, StabilityError)
@@ -44,6 +44,18 @@ class RunResult:
 # repr(x) and None as an empty cell; converting a table with tolist() block
 # by block keeps the Python floats of only one block alive at a time.
 _CSV_BLOCK_ROWS = 1024
+
+
+def _check_writable(path: str) -> None:
+    """Raise ConfigurationError, naming path and the OS reason, when path
+    cannot be opened for writing; a file the probe creates is removed."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as err:
+        raise ConfigurationError(f"cannot write output {path!r}: {err.strerror}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -118,7 +130,7 @@ def _run_field_scenario(cfg: ScenarioConfig) -> RunResult:
 
     def on_snapshot(state: solver.PdeState, cs) -> None:
         records.append(diag.compute_record(state, settings, cs=cs, m0=m0, n0=n0))
-        if any(abs(state.t - ts) <= 1e-9 for ts in snapshot_times):
+        if any(abs(state.t - ts) <= _SNAPSHOT_TOL for ts in snapshot_times):
             field_snaps.append((state.t, state))
 
     try:
@@ -204,8 +216,11 @@ def _run_peakon_scenario(cfg: ScenarioConfig) -> RunResult:
 def execute(cfg: ScenarioConfig) -> RunResult:
     """Run a validated scenario; returns status plus summary lines."""
     try:
+        _check_writable(cfg.out)
         if cfg.kind == "peakon":
             return _run_peakon_scenario(cfg)
+        if cfg.snapshot_times:
+            _check_writable(_fields_path(cfg.out))
         return _run_field_scenario(cfg)
     except ConfigurationError as err:
         return RunResult(1, [f"CONFIG ERROR: {err}"])

@@ -38,7 +38,7 @@ import numpy as np
 from .characteristics import CharacteristicSet, advance_with_stages
 from .errors import BlowUpError, ConfigurationError, StabilityError
 from .grid import Field, Grid, Spectrum
-from .march import rk4_step, substeps
+from .march import DEFAULT_BLOWUP_FACTOR, blowup_limit, check_dt, rk4_step, substeps
 
 __all__ = [
     "COUPLED",
@@ -185,10 +185,6 @@ def _check_stability(g: Grid, dt: float, w: _Velocities) -> None:
         )
 
 
-def _default_threshold(m: np.ndarray, n: np.ndarray, factor: float = 1e6) -> float:
-    return factor * max(1.0, float(np.max(np.abs(m))), float(np.max(np.abs(n))))
-
-
 def _step(core: _Core, spec: np.ndarray, dt: float, threshold: float,
           t_new: float) -> tuple[np.ndarray, np.ndarray, list[_Velocities]]:
     """One guarded RK4 step of a spectral state.
@@ -223,14 +219,15 @@ def step_rk4(state: PdeState, dt: float, *, blowup_threshold: Optional[float] = 
 
     The advective stability guard requires |dt| <= 0.5 * spacing / max
     speed.  If the stepped momenta exceed the blow-up threshold (default
-    1e6 times the current magnitude scale), BlowUpError is raised carrying
-    the input state as the last valid one.
+    DEFAULT_BLOWUP_FACTOR times the current magnitude scale, see
+    ``march.blowup_limit``), BlowUpError is raised carrying the input state
+    as the last valid one.
     """
     if dt == 0.0 or not np.isfinite(dt):
         raise ConfigurationError(f"dt must be finite and nonzero, got {dt!r}")
     core = _Core.of(state)
     threshold = (blowup_threshold if blowup_threshold is not None
-                 else _default_threshold(state.m.values, state.n.values))
+                 else blowup_limit(DEFAULT_BLOWUP_FACTOR, state.m.values, state.n.values))
     try:
         _, rows, _ = _step(core, core.spectral(state), dt, threshold, state.t + dt)
     except BlowUpError as err:
@@ -311,7 +308,7 @@ def evolve(
     *,
     track: Optional[CharacteristicSet] = None,
     callback: Optional[Callable[[PdeState, Optional[CharacteristicSet]], None]] = None,
-    blowup_factor: float = 1e6,
+    blowup_factor: float = DEFAULT_BLOWUP_FACTOR,
 ) -> Trajectory:
     """Fixed-step RK4 march with snapshots at the requested output times.
 
@@ -326,11 +323,10 @@ def evolve(
     blowup_factor * max(1, max|m0|, max|n0|); exceeding it raises
     BlowUpError carrying the partial Trajectory.
     """
-    if dt <= 0.0 or not np.isfinite(dt):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
+    check_dt(dt)
     g = state.grid
     times = _normalize_output_times(state.t, t_end, output_times)
-    threshold = _default_threshold(state.m.values, state.n.values, blowup_factor)
+    threshold = blowup_limit(blowup_factor, state.m.values, state.n.values)
     if track is not None:
         if track.t != state.t:
             raise ValueError("tracked characteristics must start at the state's time")
@@ -393,8 +389,7 @@ def evolve_real_form(
     real-arithmetic path for the self-conjugate reduction, used to
     cross-check the complex-momentum path.
     """
-    if dt <= 0.0 or not np.isfinite(dt):
-        raise ConfigurationError(f"dt must be positive and finite, got {dt!r}")
+    check_dt(dt)
     if mu_re.grid != mu_im.grid:
         raise ValueError("the pair must live on the same grid")
     g = mu_re.grid

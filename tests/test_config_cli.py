@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import csv
 import importlib
+import inspect
 import os
 import re
 import resource
 import shutil
 import subprocess
 import sys
+from dataclasses import fields as dataclass_fields
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cchlab
+from cchlab import config as config_module
+from cchlab.characteristics import init_characteristics
 from cchlab.cli import main
 from cchlab.config import (PDE_MODES, ScenarioConfig, build_grid,
                            build_initial_condition, parse_config,
                            parse_float_list, serialize_config)
-from cchlab.diagnostics import CSV_COLUMNS
+from cchlab.diagnostics import CSV_COLUMNS, settings_from_initial
 from cchlab.errors import BlowUpError, ConfigurationError
 from cchlab.grid import make_grid
 from cchlab.peakons import PeakonState, evolve_peakons, peakon_hamiltonian
@@ -58,6 +62,36 @@ def test_defaults_fill_in():
     assert cfg.epsilon_support == 1e-7
     assert cfg.tail_tolerance == 1e-8
     assert cfg.blowup_threshold == 1e6
+
+
+def _default_of(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def test_config_defaults_are_the_library_defaults():
+    defaults = {f.name: f.default for f in dataclass_fields(ScenarioConfig)}
+    assert defaults["epsilon_support"] == _default_of(settings_from_initial, "support_factor")
+    assert defaults["tail_tolerance"] == _default_of(settings_from_initial, "tail_tolerance")
+    assert defaults["label_stride"] == _default_of(init_characteristics, "stride")
+    for march in (cchlab.evolve, cchlab.evolve_peakon_path, evolve_peakons):
+        assert defaults["blowup_threshold"] == _default_of(march, "blowup_factor")
+
+
+def test_key_sets_split_every_key():
+    peakon_only = set(config_module._PEAKON_ONLY)
+    field_only = config_module._FIELD_ONLY
+    shared = set(config_module._SHARED)
+    assert field_only == {"half_length", "n_points", "output_every", "mode",
+                          "m0", "n0", "u0", "v0", "u0_im", "epsilon_support",
+                          "tail_tolerance", "snapshot_times", "label_stride"}
+    assert not (peakon_only & field_only or peakon_only & shared or field_only & shared)
+    assert peakon_only | field_only | shared == set(config_module._KEY_TYPES)
+    for key in field_only:
+        with pytest.raises(ConfigurationError, match=f"'{key}' does not apply to kind=peakon"):
+            parse_config(f"kind=peakon q=0 m_amps=10 r=5 n_amps=1\n{key} = 1\n")
+    for key in peakon_only:
+        with pytest.raises(ConfigurationError, match=f"'{key}' applies only to kind=peakon"):
+            parse_config(f"{PDE_TEXT}{key} = 1\n")
 
 
 def test_comments_blank_lines_and_spaced_values():
@@ -639,6 +673,53 @@ def test_config_errors_exit_1(tmp_path, capsys):
     off_grid = write_cfg(tmp_path, PDE_TEXT + "snapshot_times = 0.5, 0.05\n")
     assert main(["check", off_grid]) == 1
     assert "entry 0.05 is not an output time" in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_utf8_exits_1_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"kind = pde\nm0 = bump(0, 3, 1)  # caf\xe9\n")
+    for verb in ("run", "check"):
+        assert main([verb, str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "latin1.cfg" in lines[0] and "not UTF-8" in lines[0]
+
+
+def _refuse_to_march(monkeypatch):
+    def march(*args, **kwargs):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(cchlab.peakons, "evolve_peakon_path", march)
+    monkeypatch.setattr(cchlab.solver, "evolve", march)
+
+
+@pytest.mark.parametrize("text, unwritable, reason", [
+    ("kind=peakon q=0 m_amps=10 r=1 n_amps=1\nout = no_dir/x.csv\n",
+     "no_dir/x.csv", "No such file or directory"),
+    ("kind=peakon q=0 m_amps=10 r=1 n_amps=1\nout = a_dir\n", "a_dir", "Is a directory"),
+    (PDE_TEXT + "snapshot_times = 0.5\nout = f.csv\n", "f_fields.csv", "Is a directory"),
+], ids=["missing-directory", "directory", "fields-file"])
+def test_an_unwritable_output_exits_1_before_the_march(tmp_path, capsys, monkeypatch,
+                                                      text, unwritable, reason):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "f_fields.csv").mkdir()
+    path = write_cfg(tmp_path, text)
+    _refuse_to_march(monkeypatch)
+    assert main(["run", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"CONFIG ERROR: cannot write output {unwritable!r}: {reason}"]
+    assert not (tmp_path / "f.csv").exists()  # the probe left no file behind
+
+
+def test_a_sweep_point_with_an_unwritable_output_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CCCH_THREADS", "1")
+    path = write_cfg(tmp_path, "kind=peakon q=0 m_amps=10 r=5 n_amps=1\nout = no_dir/s.csv\n")
+    _refuse_to_march(monkeypatch)
+    assert main(["sweep", path, "--vary", "r=4:5:2"]) == 1
+    out = capsys.readouterr().out
+    for value in (4, 5):
+        assert (f"CONFIG ERROR: cannot write output 'no_dir/s_r{value}.csv': "
+                "No such file or directory") in out
 
 
 def test_a_path_too_long_for_memory_exits_1_without_allocating_it(tmp_path, capsys):

@@ -149,6 +149,9 @@ def test_noise_floor_positive_and_linear_in_amplitude(grid_standard,
     assert floor > 0.0
     assert quadrature_noise_floor(doubled, doubled) == pytest.approx(
         2.0 * floor, rel=1e-12)
+    # Each field enters on its own: the floor of a pair is the larger of the two.
+    assert quadrature_noise_floor(m, doubled) == quadrature_noise_floor(doubled, m) == (
+        quadrature_noise_floor(doubled, doubled))
 
 
 # ----------------------------------------------------------- tail slopes

@@ -7,7 +7,7 @@ from math import exp
 import numpy as np
 import pytest
 
-from cchlab.march import rk4_step, rk4_step_floats, substeps
+from cchlab.march import blowup_limit, rk4_step, rk4_step_floats, substeps
 from cchlab.peakons import _pair_rates, _rates
 
 
@@ -88,3 +88,10 @@ def test_substeps_ignore_round_off_above_a_whole_count():
     count, size = substeps(3 * 0.01 * (1 + 1e-12), 0.01)
     assert count == 3
     assert size == pytest.approx(0.01, rel=1e-11)
+
+
+def test_blowup_limit_scales_the_largest_amplitude_with_a_floor_of_one():
+    assert blowup_limit(10.0, np.array([0.5, -3.0]), np.array([2.0])) == 30.0
+    assert blowup_limit(10.0, np.array([0.5]), np.array([1j * 0.25])) == 10.0
+    assert blowup_limit(2.0, np.array([]), np.array([-4.0])) == 8.0  # an empty family
+    assert blowup_limit(2.0, np.array([]), np.array([])) == 2.0

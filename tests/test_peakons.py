@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,8 @@ def test_evolve_validation_and_blowup_guard():
     ps = PeakonState(0.0, [0.0], [10.0], [5.0], [1.0])
     with pytest.raises(ConfigurationError):
         evolve_peakons(ps, 1.0, -1e-3)
+    with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+        evolve_peakons(ps, 1.0, 0.0)
     with pytest.raises(ConfigurationError):
         evolve_peakons(ps, -1.0, 1e-3)
     assert evolve_peakons(ps, 0.0, 1e-3) == [ps]
@@ -267,14 +271,15 @@ def test_path_rows_are_the_listed_states_bit_for_bit(ps, t_end):
 
 
 def _array_pair_path(ps, t_end, dt, blowup_factor=1e6):
-    """evolve_peakon_path of a 1x1 state, marched on arrays with _step_smooth:
-    (path, BlowUpError message or None)."""
+    """evolve_peakon_path of a 1x1 state, marched on arrays with _split_step
+    over _train_step: (path, BlowUpError message or None)."""
     y = np.concatenate((ps.q, ps.m_amp, ps.r, ps.n_amp))
     threshold = blowup_factor * max(1.0, abs(y[1]), abs(y[3]))
     n_steps, dt_eff = substeps(t_end - ps.t, dt)
     t, signs, rows = ps.t, peakons_module._pair_signs(y, 1), [(ps.t, *y)]
     for k in range(n_steps):
-        t, y, signs = peakons_module._step_smooth(t, y, signs, dt_eff, 1)
+        t, y, signs = peakons_module._split_step(
+            partial(peakons_module._train_step, count=1), t, y, signs, dt_eff)
         peak = max(abs(y[1]), abs(y[3]))
         if peak > threshold:
             return np.array(rows), (f"peakon amplitude {peak:.3e} exceeded the blow-up "
@@ -314,13 +319,14 @@ def test_collision_cases_split_steps(monkeypatch):
     # The two close starts of the bit-identity test cross inside steps, so the
     # pair march's split recursion is exercised there.
     depths = []
-    real = peakons_module._pair_step_smooth
+    real = peakons_module._split_step
 
-    def spy(t, y, sign, dt, depth=0):
+    def spy(step, t, y, signs, dt, depth=0):
+        assert step is peakons_module._pair_step
         depths.append(depth)
-        return real(t, y, sign, dt, depth)
+        return real(step, t, y, signs, dt, depth)
 
-    monkeypatch.setattr(peakons_module, "_pair_step_smooth", spy)
+    monkeypatch.setattr(peakons_module, "_split_step", spy)
     for sep in (6.1e-4, 3e-3):
         depths.clear()
         evolve_peakon_path(PeakonState(0.0, [0.0], [10.0], [sep], [1.0]), 6.5, 1e-3)

@@ -56,6 +56,8 @@ def test_step_rejects_bad_dt(small_state):
 def test_evolve_rejects_bad_output_times(small_state):
     with pytest.raises(ConfigurationError):
         evolve(small_state, 1.0, -1e-3)
+    with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+        evolve(small_state, 1.0, 0.0)
     with pytest.raises(ConfigurationError):
         evolve(small_state, 1.0, 1e-3, output_times=[0.5, 0.5])
     with pytest.raises(ConfigurationError):
@@ -200,6 +202,8 @@ def test_real_form_validation():
         rhs_complex_real_form(real, Field(other, np.zeros(512)))
     with pytest.raises(ConfigurationError):
         evolve_real_form(real, real, 1.0, -1e-3)
+    with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
+        evolve_real_form(real, real, 1.0, 0.0)
 
 
 def test_real_form_march_matches_complex_march():
