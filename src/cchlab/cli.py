@@ -24,7 +24,7 @@ from dataclasses import replace
 
 from .config import _KEY_TYPES, ScenarioConfig, parse_config
 from .errors import ConfigurationError
-from .runner import execute, run_scenario
+from .runner import check_outputs, execute, run_scenario
 
 __all__ = ["main"]
 
@@ -49,6 +49,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = _load_config(args.config)
+    check_outputs(cfg)
     print(f"config OK: kind={cfg.kind}, out={cfg.out}")
     return 0
 

@@ -102,6 +102,8 @@ class ScenarioConfig:
                 raise _key_error(key, f"must be positive, got {value}")
         if self.label_stride < 1:
             raise _key_error("label_stride", "must be >= 1")
+        if self.blowup_threshold < 1.0:  # a factor on max(1, initial amplitude)
+            raise _key_error("blowup_threshold", f"must be >= 1, got {self.blowup_threshold}")
         if self.n_points < 16 or (self.n_points & (self.n_points - 1)) != 0:
             raise _key_error("n_points", f"must be a power of two >= 16, got {self.n_points}")
 

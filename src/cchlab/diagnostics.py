@@ -380,9 +380,12 @@ def compute_record(
     Tail slopes are fitted beyond the measured support of the matching
     momentum; when a slope (or a support) is not measurable the record
     stores NaN (or None) rather than failing the run.  When a
-    characteristic set plus the initial momenta are supplied, the pullback
-    defect (max of the m- and n-flow defects) is included.
+    characteristic set is supplied, the pullback defect (max of the m- and
+    n-flow defects) is included, and the initial momenta m0 and n0 it is
+    measured against must be supplied too (ValueError otherwise).
     """
+    if cs is not None and (m0 is None or n0 is None):
+        raise ValueError("a pullback defect needs both initial momenta m0 and n0")
     m, n = state.m, state.n
     g = m.grid
     u, v = recover_velocity(state)
@@ -408,7 +411,7 @@ def compute_record(
             pass
 
     residual: Optional[float] = None
-    if cs is not None and m0 is not None and n0 is not None:
+    if cs is not None:
         residual = max(
             pullback_residual(m, cs, m0, flow="m", t=state.t),
             pullback_residual(n, cs, n0, flow="n", t=state.t),

@@ -21,8 +21,8 @@ class StabilityError(ConfigurationError):
 
 
 class BlowUpError(RuntimeError):
-    """Field magnitudes exceeded the blow-up threshold, or a peakon state
-    became non-finite.
+    """Momenta or peakon amplitudes exceeded the blow-up threshold, or the
+    stepped state became non-finite.
 
     Carries the last valid state (``state``) and, when raised from a full
     run, the partial trajectory of snapshots completed so far

@@ -349,8 +349,8 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
         peak = max(map(abs, values[count:2 * count] + values[n_start:]), default=0.0)
         if peak > threshold:
             raise BlowUpError(
-                f"peakon amplitude {peak:.3e} exceeded the blow-up threshold "
-                f"{threshold:.3e} at t = {t:.6g}",
+                f"peakon amplitude {peak!r} exceeded the blow-up threshold "
+                f"{threshold!r} at t = {t:.6g}",
                 state=_checked_state(path[k], count), trajectory=path[:k + 1],
             )
         path[k + 1, 0] = float(t_end) if k == n_steps - 1 else t
@@ -448,39 +448,34 @@ def waltz_exact(m1: float, n1: float, separation: float,
     return w, z, np.arange(first, last + 1) * half - tau0
 
 
-def _refine_crossing(times: np.ndarray, c: np.ndarray, i: int) -> float:
-    """Root of a sampled scalar between samples i-1 and i, via a local cubic.
-
-    The bracket [t_{i-1}, t_i] must contain a sign change of c; the root of
-    the cubic through the four surrounding samples is found by bisection
-    (falls back to the secant point for degenerate data).
-    """
-    lo, hi = float(times[i - 1]), float(times[i])
-    clo, chi = float(c[i - 1]), float(c[i])
-    if clo == 0.0:
-        return lo
-    if chi == 0.0 or clo * chi > 0.0:
-        return hi
-    a = max(i - 2, 0)
-    b = min(i + 2, len(times))
-    coeffs = np.polyfit(times[a:b] - lo, c[a:b], min(3, b - a - 1))
-    flo = float(np.polyval(coeffs, 0.0))
-    fhi = float(np.polyval(coeffs, hi - lo))
-    if flo == 0.0:
-        return lo
-    if flo * fhi > 0.0:  # interpolant lost the sign change; secant fallback
-        return lo + (hi - lo) * clo / (clo - chi)
-    x0, x1 = 0.0, hi - lo
-    for _ in range(60):
-        xm = 0.5 * (x0 + x1)
-        fm = float(np.polyval(coeffs, xm))
-        if fm == 0.0:
-            return lo + xm
-        if flo * fm < 0.0:
-            x1 = xm
+def _march_to_turn(path: np.ndarray, i: int, cross) -> tuple[float, list[float]]:
+    """(t, [q, m_amp, r, n_amp]) where ``cross`` of the state changes sign
+    between samples i-1 and i of a pair path, bisected in time to one ulp.
+    Each trial is a pair step (_pair_step, collision split included) from
+    the sample of smaller |cross|, the one nearer the turn, forward or
+    backward.  A zero on sample i-1 returns it; a zero on sample i, or no
+    sign change, returns sample i."""
+    t0, y0 = float(path[i - 1, 0]), path[i - 1, 1:].tolist()
+    t, y = float(path[i, 0]), path[i, 1:].tolist()
+    c0, c1 = cross(y0), cross(y)
+    if c0 == 0.0:
+        return t0, y0
+    if c0 * c1 >= 0.0:
+        return t, y
+    ts, ys = (t0, y0) if abs(c0) <= abs(c1) else (t, y)
+    sign = _sign(ys[0] - ys[2])
+    a, b = t0, t
+    while a < 0.5 * (a + b) < b:
+        t = 0.5 * (a + b)
+        y = _split_step(_pair_step, ts, ys, sign, t - ts)[1]
+        c = cross(y)
+        if c == 0.0:
+            break
+        if (c > 0.0) == (c0 > 0.0):
+            a = t
         else:
-            x0, flo = xm, fm
-    return lo + 0.5 * (x0 + x1)
+            b = t
+    return t, y
 
 
 def measure_waltz_path(path: np.ndarray) -> tuple[float, float]:
@@ -489,26 +484,24 @@ def measure_waltz_path(path: np.ndarray) -> tuple[float, float]:
     ``path`` has one row (t, q, m_amp, r, n_amp) per sample, as
     evolve_peakon_path returns for one peakon per family.  The orbit in the
     (q - r, m1 - n1) plane winds around its center once per period.  The
-    unwrapped orbit phase locates the half turn and the full turn; each
-    instant is then refined as the root of the smooth cross product
-    z(t) w0 - w(t) z0 (which vanishes exactly when the orbit passes the
-    antipode of the start, and again on return to the start).  The swap
-    error compares the amplitudes at half period against the initial
-    amplitudes of the *other* family:
+    unwrapped orbit phase brackets the half turn and the full turn between
+    two samples; each is then located on the march itself, as the root of
+    the cross product z w0 - w z0 of the marched state against the start
+    (zero exactly when the orbit passes the antipode of the start, and
+    again on return to it), see _march_to_turn.  The swap error compares
+    the amplitudes of the half-turn state against the initial amplitudes
+    of the *other* family:
 
         swap_error = |m1(T/2) - n1(0)| + |n1(T/2) - m1(0)|,
 
     which the orbit's point symmetry makes exactly zero in continuum time.
-    The amplitudes at T/2 come from one march step from the last sample at
-    or before it, with that sample's spacing as dt, so a collision near the
-    half period is stepped through, not interpolated across.  Paths shorter
-    than one full orbit raise MeasurementError.
+    A collision at the half turn is stepped through, not fitted across.
+    Paths shorter than one full orbit raise MeasurementError.
     """
     if len(path) < 8:
         raise MeasurementError("trajectory too short to measure an orbit")
     if path.shape[1] != 5:
         raise ValueError("waltz measurement needs exactly one peakon per family")
-    times = path[:, 0]
     z = path[:, 1] - path[:, 3]
     w = path[:, 2] - path[:, 4]
     z_scale = float(np.max(np.abs(z)))
@@ -526,22 +519,15 @@ def measure_waltz_path(path: np.ndarray) -> tuple[float, float]:
             "trajectory shorter than one orbit "
             f"(phase advanced {advance[-1] / (2 * np.pi):.2f} turns)"
         )
-    # cross product against the initial orbit point: zero at the antipode
-    # (phase pi) and at the return to start (phase 2 pi), both transversal
-    cross = zs * ws[0] - ws * zs[0]
-    i_half = int(np.nonzero(advance >= np.pi)[0][0])
-    i_full = int(hits[0])
-    t_half = _refine_crossing(times, cross, i_half)
-    t_full = _refine_crossing(times, cross, i_full)
-    period = t_full - float(times[0])
+    zs0, ws0 = float(zs[0]), float(ws[0])
 
-    i = int(np.searchsorted(times, t_half, side="right")) - 1
-    half = path[i]
-    if half[0] < t_half:
-        start = PeakonState(float(half[0]), half[1], half[2], half[3], half[4])
-        half = evolve_peakon_path(start, t_half, float(times[i + 1] - half[0]))[-1]
-    swap_error = abs(half[2] - path[0, 4]) + abs(half[4] - path[0, 2])
-    return period, float(swap_error)
+    def cross(y: list[float]) -> float:
+        return (y[0] - y[2]) / z_scale * ws0 - (y[1] - y[3]) / w_scale * zs0
+
+    _, half = _march_to_turn(path, int(np.nonzero(advance >= np.pi)[0][0]), cross)
+    t_full, _ = _march_to_turn(path, int(hits[0]), cross)
+    swap_error = abs(half[1] - path[0, 4]) + abs(half[3] - path[0, 2])
+    return t_full - float(path[0, 0]), float(swap_error)
 
 
 def measure_waltz(traj: list[PeakonState]) -> tuple[float, float]:

@@ -7,8 +7,9 @@ whose ordering collapsed), 4 = unstable (the time step exceeded the
 advective stability bound during the march).  A blow-up, invalid
 measurement or instability met during a march still writes the output
 completed so far.  A config has checked its values when built; a run can
-still meet an output file it cannot write, or a time list or peakon path
-too long to allocate: status 1 and one CONFIG ERROR line, before any output.
+still meet an output file it cannot write (check_outputs, as check does),
+or a time list or peakon path too long to allocate: status 1 and one
+CONFIG ERROR line, before any output.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .config import (_SNAPSHOT_TOL, ScenarioConfig, build_grid, build_initial_co
 from .errors import (BlowUpError, ConfigurationError, DomainTooSmallError,
                      MeasurementError, StabilityError)
 
-__all__ = ["run_scenario", "execute", "RunResult"]
+__all__ = ["run_scenario", "execute", "check_outputs", "RunResult"]
 
 
 @dataclass
@@ -44,18 +45,6 @@ class RunResult:
 # repr(x) and None as an empty cell; converting a table with tolist() block
 # by block keeps the Python floats of only one block alive at a time.
 _CSV_BLOCK_ROWS = 1024
-
-
-def _check_writable(path: str) -> None:
-    """Raise ConfigurationError, naming path and the OS reason, when path
-    cannot be opened for writing; a file the probe creates is removed."""
-    existed = os.path.lexists(path)
-    try:
-        open(path, "a").close()
-    except OSError as err:
-        raise ConfigurationError(f"cannot write output {path!r}: {err.strerror}") from None
-    if not existed:
-        os.remove(path)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -76,6 +65,22 @@ def _table_rows(*columns: np.ndarray):
 def _fields_path(out: str) -> str:
     root, ext = os.path.splitext(out)
     return f"{root}_fields{ext or '.csv'}"
+
+
+def check_outputs(cfg: ScenarioConfig) -> None:
+    """Probe every file a run of cfg writes (``out``, and its field snapshot
+    file when snapshot_times is set): ConfigurationError names the first
+    that cannot be opened for writing and the OS reason.  A file the probe
+    creates is removed."""
+    paths = [cfg.out, _fields_path(cfg.out)] if cfg.snapshot_times else [cfg.out]
+    for path in paths:
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as err:
+            raise ConfigurationError(f"cannot write output {path!r}: {err.strerror}") from None
+        if not existed:
+            os.remove(path)
 
 
 def _write_field_snapshots(path: str, snaps: list[tuple[float, solver.PdeState]]) -> None:
@@ -216,11 +221,9 @@ def _run_peakon_scenario(cfg: ScenarioConfig) -> RunResult:
 def execute(cfg: ScenarioConfig) -> RunResult:
     """Run a validated scenario; returns status plus summary lines."""
     try:
-        _check_writable(cfg.out)
+        check_outputs(cfg)
         if cfg.kind == "peakon":
             return _run_peakon_scenario(cfg)
-        if cfg.snapshot_times:
-            _check_writable(_fields_path(cfg.out))
         return _run_field_scenario(cfg)
     except ConfigurationError as err:
         return RunResult(1, [f"CONFIG ERROR: {err}"])

@@ -206,11 +206,11 @@ def _step(core: _Core, spec: np.ndarray, dt: float, threshold: float,
     spec = rk4_step(rate, spec, dt)
     rows = core.sp.inverse(spec)
     peak = float(np.max(np.abs(rows)))
-    if not np.isfinite(peak) or peak > threshold:
-        raise BlowUpError(
-            f"momentum magnitude {peak:.3e} exceeded the blow-up threshold "
-            f"{threshold:.3e} at t = {t_new:.6g}"
-        )
+    if not np.isfinite(peak):
+        raise BlowUpError(f"non-finite momentum at t = {t_new:.6g}")
+    if peak > threshold:
+        raise BlowUpError(f"momentum magnitude {peak!r} exceeded the blow-up threshold "
+                          f"{threshold!r} at t = {t_new:.6g}")
     return spec, rows, stages
 
 

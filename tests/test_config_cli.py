@@ -496,14 +496,33 @@ def test_sweep_takes_integer_keys_as_integers(tmp_path, monkeypatch, capsys):
 
 
 def test_blowup_exits_2_with_partial_output(tmp_path, capsys):
+    # Opposite-sign peakons separate while |m| grows past 1.2 * 2 at t = 1.088.
     path = write_cfg(tmp_path, (
-        "kind=peakon q=0 m_amps=10 r=5 n_amps=1\n"
-        "t_end = 1\nblowup_threshold = 0.5\nout = boom.csv\n"
+        "kind=peakon q=0 m_amps=2 r=1 n_amps=-1\n"
+        "t_end = 5\nblowup_threshold = 1.2\nout = boom.csv\n"
     ))
     assert main(["run", path]) == 2
-    assert "BLOW-UP" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "BLOW-UP" in out
     _, rows = read_rows(tmp_path / "boom.csv")
-    assert len(rows) == 1  # the pre-blow-up trajectory is still written
+    assert len(rows) == 1088  # the pre-blow-up trajectory is still written
+    # Both numbers are printed in full, so the peak reads above the limit.
+    peak, threshold = (float(v) for v in re.search(
+        r"BLOW-UP: peakon amplitude (\S+) exceeded the blow-up threshold (\S+) at t = 1.088\n",
+        out).groups())
+    assert threshold == 2.4 and peak > threshold
+
+
+def test_a_blowup_threshold_below_1_is_refused(tmp_path, capsys):
+    # The key is a factor on max(1, initial amplitude): 0.2 would put the
+    # limit under the bump's own peak exp(-1) and stop the run at once.
+    path = write_cfg(tmp_path, "kind = pde\nm0 = bump(-2, 3, 1)\nn0 = bump(2, 3, 1)\n"
+                               "blowup_threshold = 0.2\nout = b.csv\n")
+    for verb in ("check", "run"):
+        assert main([verb, path]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "key 'blowup_threshold' must be >= 1" in lines[0], lines
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_non_finite_peakon_state_exits_2_with_partial_output(tmp_path, capsys, monkeypatch):
@@ -693,12 +712,15 @@ def _refuse_to_march(monkeypatch):
     monkeypatch.setattr(cchlab.solver, "evolve", march)
 
 
-@pytest.mark.parametrize("text, unwritable, reason", [
+_UNWRITABLE = pytest.mark.parametrize("text, unwritable, reason", [
     ("kind=peakon q=0 m_amps=10 r=1 n_amps=1\nout = no_dir/x.csv\n",
      "no_dir/x.csv", "No such file or directory"),
     ("kind=peakon q=0 m_amps=10 r=1 n_amps=1\nout = a_dir\n", "a_dir", "Is a directory"),
     (PDE_TEXT + "snapshot_times = 0.5\nout = f.csv\n", "f_fields.csv", "Is a directory"),
 ], ids=["missing-directory", "directory", "fields-file"])
+
+
+@_UNWRITABLE
 def test_an_unwritable_output_exits_1_before_the_march(tmp_path, capsys, monkeypatch,
                                                       text, unwritable, reason):
     (tmp_path / "a_dir").mkdir()
@@ -709,6 +731,18 @@ def test_an_unwritable_output_exits_1_before_the_march(tmp_path, capsys, monkeyp
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"CONFIG ERROR: cannot write output {unwritable!r}: {reason}"]
     assert not (tmp_path / "f.csv").exists()  # the probe left no file behind
+
+
+@_UNWRITABLE
+def test_check_refuses_an_unwritable_output(tmp_path, capsys, text, unwritable, reason):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "f_fields.csv").mkdir()
+    assert main(["check", write_cfg(tmp_path, text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: cannot write output {unwritable!r}: {reason}"]
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_a_sweep_point_with_an_unwritable_output_exits_1(tmp_path, capsys, monkeypatch):

@@ -230,6 +230,18 @@ def test_compute_record_populates_every_column(grid_standard):
     assert dataclasses.asdict(rec)["H"] == rec.H  # records are plain data
 
 
+@pytest.mark.parametrize("given", [(), ("m0",), ("n0",)])
+def test_compute_record_refuses_a_set_without_both_initial_momenta(grid_standard, given):
+    g = grid_standard
+    m = Field(g, bump_values(g.nodes, -2.0, 3.0, 1.0))
+    n = Field(g, bump_values(g.nodes, +2.0, 3.0, 1.0))
+    st = PdeState(0.0, m, n)
+    initial = {"m0": m, "n0": n}
+    with pytest.raises(ValueError, match="m0 and n0"):
+        compute_record(st, settings_from_initial(st), cs=init_characteristics(g),
+                       **{key: initial[key] for key in given})
+
+
 def test_record_for_complex_self_conjugate_state(grid_standard):
     g = grid_standard
     mv = g.fwd_helmholtz(bump_values(g.nodes, -2.0, 8.0, 1.0)

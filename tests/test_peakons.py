@@ -282,8 +282,8 @@ def _array_pair_path(ps, t_end, dt, blowup_factor=1e6):
             partial(peakons_module._train_step, count=1), t, y, signs, dt_eff)
         peak = max(abs(y[1]), abs(y[3]))
         if peak > threshold:
-            return np.array(rows), (f"peakon amplitude {peak:.3e} exceeded the blow-up "
-                                    f"threshold {threshold:.3e} at t = {t:.6g}")
+            return np.array(rows), (f"peakon amplitude {float(peak)!r} exceeded the blow-up "
+                                    f"threshold {float(threshold)!r} at t = {t:.6g}")
         rows.append((float(t_end) if k == n_steps - 1 else t, *y))
     return np.array(rows), None
 
@@ -368,13 +368,62 @@ def test_path_waltz_measurement_is_the_list_measurement():
         measure_waltz_path(evolve_peakon_path(TRAIN_3X2, 0.1, 1e-2))
 
 
-def test_swap_error_across_a_collision_at_the_half_period():
-    # Starting 6.1e-4 apart, the pair collides within a sample of T/2; three-
-    # point interpolation across that kink read a swap error of 2.4e-3.
-    ps = PeakonState(0.0, [0.0], [10.0], [6.1e-4], [1.0])
-    period, swap_error = measure_waltz_path(evolve_peakon_path(ps, 6.5, 1e-3))
-    assert period == pytest.approx(waltz_period_closed_form(10.0, 1.0, 6.1e-4), abs=1e-6)
-    assert swap_error < 1e-5  # measured 3.0e-6
+def _spy_on_turns(monkeypatch) -> list:
+    """Record every (t, state) that measure_waltz_path locates, in order:
+    the half turn, then the full turn."""
+    turns, locate = [], peakons_module._march_to_turn
+    monkeypatch.setattr(peakons_module, "_march_to_turn",
+                        lambda *args: turns.append(locate(*args)) or turns[-1])
+    return turns
+
+
+def test_swap_error_across_a_collision_at_the_half_period(monkeypatch):
+    # Starting 6.1e-4 to 3e-3 apart, the pair collides within a sample of
+    # T/2.  Three-point interpolation across that kink read a swap error of
+    # 2.4e-3 at 6.1e-4; a cubic fitted to the crossing across it read
+    # 2.8e-6 to 4.2e-6, with t_half 3e-7 off.  Located on the march, the
+    # turns read swap errors of 2.3e-9, 4.0e-10 and 2.3e-9, periods within
+    # 3.6e-9 of the closed form and half turns within 1e-11 of T/2.
+    turns = _spy_on_turns(monkeypatch)
+    for separation in (6.1e-4, 2e-3, 3e-3):
+        turns.clear()
+        ps = PeakonState(0.0, [0.0], [10.0], [separation], [1.0])
+        period, swap_error = measure_waltz_path(evolve_peakon_path(ps, 6.5, 1e-3))
+        exact = waltz_period_closed_form(10.0, 1.0, separation)
+        assert abs(period - exact) < 1e-8, separation
+        assert swap_error < 1e-8, separation
+        # The orbit's point symmetry puts the antipode of the start at T/2.
+        w, z, _ = waltz_exact(10.0, 1.0, separation, 0.5 * exact)
+        assert (w, z) == (pytest.approx(-9.0, abs=1e-12), pytest.approx(separation, abs=1e-12))
+        assert abs(turns[0][0] - 0.5 * exact) < 1e-9, separation
+
+
+def test_the_half_turn_is_marched_from_the_nearer_sample():
+    # T/2 = 5.6048 lies between the samples at 5.604 and 5.605; the half
+    # turn is stepped back from the later one, so a fault there shows.
+    path = evolve_peakon_path(WALTZ, 13.0, 1e-3)
+    i = int(np.searchsorted(path[:, 0], 0.5 * waltz_period_closed_form(10.0, 1.0, 1.0)))
+    assert path[i - 1, 0] == pytest.approx(5.604) and path[i, 0] == pytest.approx(5.605)
+    for row, seen in ((i - 1, False), (i, True)):
+        faulty = path.copy()
+        faulty[row, 2] *= 1.0 + 1e-3
+        assert (measure_waltz_path(faulty)[1] > 1e-4) == seen, row
+
+
+def test_a_turn_on_a_sample_is_read_from_that_sample(monkeypatch):
+    # Overwrite the first samples past T/2 and past T with the exact
+    # antipode and the exact start: each turn is then that sample itself,
+    # so the swap error is exactly 0 and the period that sample's time.
+    path = evolve_peakon_path(WALTZ, 13.0, 1e-3)
+    exact = waltz_period_closed_form(10.0, 1.0, 1.0)
+    i_half = int(np.searchsorted(path[:, 0], 0.5 * exact))
+    i_full = int(np.searchsorted(path[:, 0], exact))
+    path[i_half, 1:] = path[0, [3, 4, 1, 2]]  # the families swapped: (-z0, -w0)
+    path[i_full, 1:] = path[0, 1:]
+    turns = _spy_on_turns(monkeypatch)
+    assert measure_waltz_path(path) == (path[i_full, 0], 0.0)
+    assert [t for t, _ in turns] == [path[i_half, 0], path[i_full, 0]]
+    assert [y for _, y in turns] == [path[i_half, 1:].tolist(), path[i_full, 1:].tolist()]
 
 
 # ------------------------------------------------------------------- orbits

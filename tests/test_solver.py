@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from cchlab import solver as solver_module
 from cchlab.errors import BlowUpError, ConfigurationError, StabilityError
 from cchlab.grid import Field, make_grid
 from cchlab.solver import (CH_REDUCTION, COMPLEX_CONJUGATE, COUPLED, PdeState,
@@ -87,6 +88,16 @@ def test_blowup_guard_carries_last_state(small_state):
         evolve(small_state, 0.1, 1e-3, blowup_factor=1e-9)
     assert info.value.trajectory is not None
     assert len(info.value.trajectory.states) == 1  # the t = 0 snapshot
+
+
+def test_blowup_messages_give_full_digits_and_name_a_non_finite_state(small_state,
+                                                                     monkeypatch):
+    with pytest.raises(BlowUpError, match=r"^momentum magnitude \S+ exceeded the blow-up "
+                                          r"threshold 1e-09 at t = 0\.001$"):
+        step_rk4(small_state, 1e-3, blowup_threshold=1e-9)
+    monkeypatch.setattr(solver_module, "rk4_step", lambda rate, y, dt: y * np.nan)
+    with pytest.raises(BlowUpError, match=r"^non-finite momentum at t = 0\.001$"):
+        step_rk4(small_state, 1e-3)
 
 
 def test_forward_backward_step_cancels_to_high_order(grid_standard):
