@@ -33,21 +33,25 @@ def rk4_step(rate: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float)
 
 def rk4_step_floats(rate: Callable[[Sequence[float]], Sequence[float]],
                     y: Sequence[float], dt: float) -> list[float]:
-    """rk4_step on a short sequence of Python floats, returned as a list.
+    """rk4_step on four Python floats, returned as a list.
 
     The stages and the final combination are rk4_step's, element by element
     in the same order and association, so the result is rk4_step's bit for
-    bit.  For a state of a few floats it is the faster form: on so short an
-    array, rk4_step's cost is nearly all NumPy call overhead.
+    bit.  For a state of four floats it is the faster form: on so short an
+    array, rk4_step's cost is nearly all NumPy call overhead, and the stages
+    are unrolled into locals, which costs less than a loop per stage.
     """
     h = 0.5 * dt
-    k1 = rate(y)
-    k2 = rate([a + h * b for a, b in zip(y, k1)])
-    k3 = rate([a + h * b for a, b in zip(y, k2)])
-    k4 = rate([a + dt * b for a, b in zip(y, k3)])
-    c = dt / 6.0
-    return [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    y0, y1, y2, y3 = y
+    a0, a1, a2, a3 = rate(y)
+    b0, b1, b2, b3 = rate([y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3])
+    c0, c1, c2, c3 = rate([y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3])
+    d0, d1, d2, d3 = rate([y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3])
+    w = dt / 6.0
+    return [y0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+            y1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            y2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            y3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3)]
 
 
 def substeps(span: float, dt: float) -> tuple[int, float]:

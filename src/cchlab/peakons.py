@@ -346,15 +346,15 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
         if not all(map(isfinite, values)):
             raise BlowUpError(f"non-finite peakon state at t = {t:.6g}",
                               state=_checked_state(path[k], count), trajectory=path[:k + 1])
-        peak = max(map(abs, values[count:2 * count] + values[n_start:]), default=0.0)
+        # abs >= 0 and NaN is out: the 0.0 stands in for default=0.0, cheaper.
+        peak = max(map(abs, values[count:2 * count] + values[n_start:] + [0.0]))
         if peak > threshold:
             raise BlowUpError(
                 f"peakon amplitude {peak!r} exceeded the blow-up threshold "
                 f"{threshold!r} at t = {t:.6g}",
                 state=_checked_state(path[k], count), trajectory=path[:k + 1],
             )
-        path[k + 1, 0] = float(t_end) if k == n_steps - 1 else t
-        path[k + 1, 1:] = y
+        path[k + 1] = [float(t_end) if k == n_steps - 1 else t] + values
     return path
 
 

@@ -14,9 +14,9 @@ CONFIG ERROR line, before any output.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -41,17 +41,23 @@ class RunResult:
     records: list[diag.DiagnosticsRecord] = field(default_factory=list)
 
 
-# Rows per block of a float table.  The csv module writes a Python float as
-# repr(x) and None as an empty cell; converting a table with tolist() block
-# by block keeps the Python floats of only one block alive at a time.
+# Rows per block of a table: _write_csv formats and writes one block at a
+# time, and _table_rows converts one with tolist(), so the Python floats of
+# only one block are alive at a time.
 _CSV_BLOCK_ROWS = 1024
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """The header and rows as csv.writer writes them: cells joined by "," and
+    lines ended by CR LF, a float as str(x), its repr, and None as an empty
+    cell ("None" is in no str of a number).  No name or cell needs quoting."""
+    line = ",".join(["%s"] * len(header)) + "\r\n"
+    rows = iter(rows)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\r\n")
+        while block := list(islice(rows, _CSV_BLOCK_ROWS)):
+            text = (line * len(block)) % tuple(chain.from_iterable(block))
+            handle.write(text.replace("None", ""))
 
 
 def _table_rows(*columns: np.ndarray):

@@ -31,7 +31,7 @@ from cchlab.diagnostics import CSV_COLUMNS, settings_from_initial
 from cchlab.errors import BlowUpError, ConfigurationError
 from cchlab.grid import make_grid
 from cchlab.peakons import PeakonState, evolve_peakons, peakon_hamiltonian
-from cchlab.runner import execute
+from cchlab.runner import _CSV_BLOCK_ROWS, _write_csv, execute
 
 from conftest import bump_values
 
@@ -673,6 +673,24 @@ def test_record_csv_is_the_records_byte_for_byte(tmp_path, text):
     assert written == (tmp_path / "reference.csv").read_bytes()
     if not tracked:  # unmeasured supports are empty cells, unfitted slopes nan
         assert b",,,,nan,nan," in written
+
+
+def test_the_csv_writer_writes_what_csv_writer_writes(tmp_path):
+    # Every awkward float repr and an empty cell, over more rows than one
+    # block of the writer, so a block boundary falls inside the table.
+    cells = [None, float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-5,
+             0.1 + 0.2, 1.0]
+    rows = [cells[k % 10:] + cells[:k % 10] for k in range(2 * _CSV_BLOCK_ROWS + 3)]
+    header = [f"c_{k}" for k in range(len(cells))]
+    _write_csv(str(tmp_path / "ours.csv"), header, iter(rows))
+    with open(tmp_path / "reference.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    written = (tmp_path / "ours.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    assert written.startswith(b"c_0,c_1,")
+    assert b",,nan,inf,-inf,-0.0,5e-324,1e+16,1e-05," in written
 
 
 def test_uncontained_tails_exit_3(tmp_path, capsys):

@@ -32,15 +32,16 @@ def test_rk4_step_calls_rate_four_times_at_the_stage_points():
 
 def test_rk4_step_floats_calls_rate_four_times_at_the_stage_points():
     calls = []
+    coef = (1.0, -2.0, 0.5, 3.0)
 
     def rate(y):
         calls.append(list(y))
-        return [c * (len(calls) + a) for c, a in zip((1.0, -2.0), y)]
+        return [c * (len(calls) + a) for c, a in zip(coef, y)]
 
-    y0, dt = np.array([0.5, 2.0]), 0.1
-    k1 = np.array([1.0, -2.0]) * (1 + y0)
-    k2 = np.array([1.0, -2.0]) * (2 + y0 + 0.5 * dt * k1)
-    k3 = np.array([1.0, -2.0]) * (3 + y0 + 0.5 * dt * k2)
+    y0, dt = np.array([0.5, 2.0, -1.0, 0.25]), 0.1
+    k1 = np.array(coef) * (1 + y0)
+    k2 = np.array(coef) * (2 + y0 + 0.5 * dt * k1)
+    k3 = np.array(coef) * (3 + y0 + 0.5 * dt * k2)
     rk4_step_floats(rate, y0.tolist(), dt)
     assert len(calls) == 4
     for got, want in zip(calls, (y0, y0 + 0.5 * dt * k1, y0 + 0.5 * dt * k2, y0 + dt * k3)):

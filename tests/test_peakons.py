@@ -171,6 +171,21 @@ def test_blowup_in_the_path_march_carries_the_partial_path():
     assert state.t == 0.0 and state.m_amp.tolist() == [10.0] and state.r.tolist() == [5.0]
 
 
+@pytest.mark.parametrize("ps, rows", [
+    (PeakonState(0.0, [0.0], [2.0], [1.0], [-1.0]), 1088),
+    (PeakonState(0.0, [0.0, 3.0], [2.0, 0.5], [1.0], [-1.0]), 1137),
+], ids=["pair", "train"])
+def test_a_blowup_path_is_a_prefix_of_the_unthresholded_march(ps, rows):
+    # Opposite-sign amplitudes grow past 1.2 * 2; the threshold only stops
+    # the march, so the partial path is the same march, row for row.
+    with pytest.raises(BlowUpError) as info:
+        evolve_peakon_path(ps, 5.0, 1e-3, blowup_factor=1.2)
+    partial_path = info.value.trajectory
+    assert len(partial_path) == rows
+    full = evolve_peakon_path(ps, 5.0, 1e-3)
+    assert partial_path.tobytes() == full[:rows].tobytes()
+
+
 # ----------------------------------------------------------------- the march
 
 def _oracle_rates(q, m, r, n):

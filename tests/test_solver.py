@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cchlab import solver as solver_module
+from cchlab.diagnostics import compute_record, settings_from_initial
 from cchlab.errors import BlowUpError, ConfigurationError, StabilityError
 from cchlab.grid import Field, make_grid
 from cchlab.solver import (CH_REDUCTION, COMPLEX_CONJUGATE, COUPLED, PdeState,
@@ -259,3 +260,27 @@ def test_recover_velocity_inverts_the_momentum_map():
     u, v = recover_velocity(st)
     assert np.max(np.abs(u.values - u_target)) < 1e-10
     assert np.max(np.abs(v.values)) < 1e-14
+
+
+def test_disjoint_compact_velocities_are_a_steady_state():
+    # v vanishes on the support of m and u on that of n, so neither momentum
+    # moves and E_± stay 0.  The march holds this to its resolution floor,
+    # measured at 4.2e-5 (2048 nodes) and 1.1e-7 (4096 nodes) for max
+    # |m - m0| at t = 2, and |E_±| <= 1.8e-6 at 4096 nodes.  At 2048 nodes
+    # E_± are weighting noise of order 1e5, so they are gated at 4096 only.
+    drifts = {}
+    for n_points in (2048, 4096):
+        g = make_grid(30.0, n_points)
+        m0 = Field(g, g.fwd_helmholtz(bump_values(g.nodes, -6.0, 3.0, 1.0)))
+        n0 = Field(g, g.fwd_helmholtz(bump_values(g.nodes, 6.0, 3.0, 1.0)))
+        state0 = PdeState(0.0, m0, n0)
+        traj = evolve(state0, 2.0, 1e-2, [0.0, 2.0])
+        end = traj.states[-1]
+        drifts[n_points] = max(float(np.max(np.abs(end.m.values - m0.values))),
+                               float(np.max(np.abs(end.n.values - n0.values))))
+    assert drifts[2048] >= 100.0 * drifts[4096]
+    assert drifts[4096] <= 2e-7
+    settings = settings_from_initial(state0)
+    for state in traj.states:
+        record = compute_record(state, settings)
+        assert abs(record.E_plus) <= 3.6e-6 and abs(record.E_minus) <= 3.6e-6
