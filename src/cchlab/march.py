@@ -1,17 +1,17 @@
-"""The RK4 step, the landing rule, the dt check and the blow-up limit shared
-by every march in the package."""
+"""The RK4 step, its event finder, the landing rule, the dt check and the
+blow-up limit shared by every march in the package."""
 
 from __future__ import annotations
 
-from math import ceil
+from math import ceil, isfinite
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["DEFAULT_BLOWUP_FACTOR", "rk4_step", "rk4_step_floats", "substeps",
-           "check_dt", "blowup_limit"]
+__all__ = ["DEFAULT_BLOWUP_FACTOR", "rk4_step", "rk4_step_floats", "locate_event",
+           "substeps", "check_dt", "blowup_limit"]
 
 # A march stops with BlowUpError once a momentum or amplitude exceeds this
 # many times the initial scale (see blowup_limit).
@@ -31,9 +31,10 @@ def rk4_step(rate: Callable[[np.ndarray], np.ndarray], y: np.ndarray, dt: float)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_step_floats(rate: Callable[[Sequence[float]], Sequence[float]],
-                    y: Sequence[float], dt: float) -> list[float]:
-    """rk4_step on four Python floats, returned as a list.
+def rk4_step_floats(rate: Callable[..., Sequence[float]],
+                    y: Sequence[float], dt: float, *args) -> list[float]:
+    """rk4_step on four Python floats, returned as a list; ``rate`` is called
+    as rate(y, *args).
 
     The stages and the final combination are rk4_step's, element by element
     in the same order and association, so the result is rk4_step's bit for
@@ -43,15 +44,56 @@ def rk4_step_floats(rate: Callable[[Sequence[float]], Sequence[float]],
     """
     h = 0.5 * dt
     y0, y1, y2, y3 = y
-    a0, a1, a2, a3 = rate(y)
-    b0, b1, b2, b3 = rate([y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3])
-    c0, c1, c2, c3 = rate([y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3])
-    d0, d1, d2, d3 = rate([y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3])
+    a0, a1, a2, a3 = rate(y, *args)
+    b0, b1, b2, b3 = rate([y0 + h * a0, y1 + h * a1, y2 + h * a2, y3 + h * a3], *args)
+    c0, c1, c2, c3 = rate([y0 + h * b0, y1 + h * b1, y2 + h * b2, y3 + h * b3], *args)
+    d0, d1, d2, d3 = rate([y0 + dt * c0, y1 + dt * c1, y2 + dt * c2, y3 + dt * c3], *args)
     w = dt / 6.0
     return [y0 + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
             y1 + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
             y2 + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
             y3 + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3)]
+
+
+def locate_event(march: Callable, event: Callable, t0: float, y0, t1: float, y1) -> tuple:
+    """(t, y) where a scalar event g leaves the positive side on one march
+    step from (t0, y0) to (t1, y1), at whose end g <= 0 or is not finite;
+    t1 may lie before t0.
+
+    ``event(y)`` returns g and dg/dt at y, and ``march(t)`` is the state
+    at t stepped from y0.  The event is kept bracketed in time.  Each
+    candidate is the root of the cubic Hermite dense output of g on the
+    bracket, which an RK4 step of size h matches to O(h^4), bisected in
+    time to round-off; the bracket's midpoint stands in when its far end is
+    not finite, or the last candidate did not halve |g| at the end it
+    replaced.  A real step to the candidate narrows the bracket, until no
+    time lies strictly inside.  Returns the far end, past the event by
+    round-off; no state comes from the cubic.
+    """
+    (ga, da), (gb, db) = event(y0), event(y1)
+    ta, tb, bisect = t0, t1, False
+    while True:
+        h, lo, hi = tb - ta, ta, tb
+        t = ta + 0.5 * h
+        if not bisect and isfinite(gb) and isfinite(db):
+            # The cubic is ga + c1 x + c2 x^2 + c3 x^3 in x = (t - ta) / h.
+            c1 = h * da
+            c2 = 3.0 * (gb - ga) - h * (2.0 * da + db)
+            c3 = 2.0 * (ga - gb) + h * (da + db)
+            while lo < t < hi or hi < t < lo:
+                x = (t - ta) / h
+                lo, hi = (t, hi) if ((c3 * x + c2) * x + c1) * x + ga > 0.0 else (lo, t)
+                t = 0.5 * (lo + hi)
+            t = hi
+        if not (ta < t < tb or tb < t < ta):
+            return tb, y1
+        y = march(t)
+        g, d = event(y)
+        bisect = abs(g) > 0.5 * abs(ga if g > 0.0 else gb)
+        if g > 0.0:
+            ta, ga, da = t, g, d
+        else:
+            tb, y1, gb, db = t, y, g, d
 
 
 def substeps(span: float, dt: float) -> tuple[int, float]:

@@ -71,7 +71,13 @@ A state is marched as one flat array (q, m_amp, r, n_amp) with RK4 from
 peakon per family is marched on four Python floats instead: the pair rate,
 the RK4 stages (``rk4_step_floats``) and the pair sign, bit for bit the
 array march, at about half its cost per step, which on 1x1 arrays is
-nearly all NumPy call overhead.  Both forms share one collision split.
+nearly all NumPy call overhead.
+
+The kernel slope jumps at each collision q_a = r_b.  Each pair carries
+its sign s of q_a - r_b, and a step takes the slope -s K of that side.  A
+step that ends with a gap past its sign is cut at the collision that
+``march.locate_event`` finds, and the rest is taken again with s flipped.
+The waltz measurement locates its turns with the same finder.
 """
 
 from __future__ import annotations
@@ -85,8 +91,8 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, DomainTooSmallError, MeasurementError
 from .grid import Field, Grid, green_kernel_eval
-from .march import (DEFAULT_BLOWUP_FACTOR, blowup_limit, check_dt, rk4_step,
-                    rk4_step_floats, substeps)
+from .march import (DEFAULT_BLOWUP_FACTOR, blowup_limit, check_dt, locate_event,
+                    rk4_step, rk4_step_floats, substeps)
 
 __all__ = [
     "PeakonState",
@@ -127,13 +133,15 @@ class PeakonState:
     n_amp: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("q", "m_amp", "r", "n_amp"):
-            arr = np.atleast_1d(np.array(getattr(self, name), dtype=np.float64))
+        names = ("q", "m_amp", "r", "n_amp")
+        arrays = [np.array(getattr(self, name), dtype=np.float64, ndmin=1) for name in names]
+        for name, arr in zip(names, arrays):
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
-            if not np.all(np.isfinite(arr)):
-                raise FloatingPointError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
+        if not np.isfinite(np.concatenate(arrays)).all():
+            name = next(n for n, a in zip(names, arrays) if not np.isfinite(a).all())
+            raise FloatingPointError(f"{name} must be finite")
         if self.q.shape != self.m_amp.shape or self.r.shape != self.n_amp.shape:
             raise ValueError("positions and amplitudes must pair up within each family")
 
@@ -155,25 +163,22 @@ def _families(y: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
     return y[..., :count], y[..., count:2 * count], y[..., 2 * count:mid], y[..., mid:]
 
 
-def _rates(y: np.ndarray, count: int) -> np.ndarray:
+def _rates(y: np.ndarray, count: int, signs: np.ndarray) -> np.ndarray:
     """Time derivative of the flat state (q, m_amp, r, n_amp), as matrix
-    products over the M x N pairs."""
+    products over the M x N pairs, with the kernel slope at q_a - r_b taken
+    as -s K, s from the (M, N) pair signs: at the state's own signs,
+    kernel_derivative bit for bit."""
     q, m_amp, r, n_amp = _families(y, count)
-    diff = q[:, None] - r[None, :]  # shape (M, N)
-    kmat = kernel(diff)
-    kpmat = -np.sign(diff) * kmat  # kernel_derivative(diff), bit for bit
+    kmat = kernel(q[:, None] - r[None, :])  # shape (M, N)
+    kpmat = -signs * kmat
     # dq, dm_amp, dr, dn_amp; K'(r - q) = -K'(q - r)
     return np.concatenate((kmat @ n_amp, -m_amp * (kpmat @ n_amp),
                            kmat.T @ m_amp, n_amp * (kpmat.T @ m_amp)))
 
 
-def _sign(d: float) -> float:
-    """np.sign of a Python float, by comparisons: NaN passes through."""
-    return 1.0 if d > 0 else -1.0 if d < 0 else 0.0 if d == 0 else d
-
-
-def _pair_rates(y: Sequence[float]) -> tuple[float, float, float, float]:
-    """_rates of one peakon per family, on the Python floats (q, m, r, n).
+def _pair_rates(y: Sequence[float], sign: float) -> tuple[float, float, float, float]:
+    """_rates of one peakon per family, on the Python floats (q, m, r, n)
+    with the one pair sign.
 
     A 1x1 state spends nearly all of the matrix form's time dispatching
     NumPy calls, and a pair has no sums, so this form is the matrix form bit
@@ -183,9 +188,8 @@ def _pair_rates(y: Sequence[float]) -> tuple[float, float, float, float]:
     so never returns -0.0.
     """
     q, m_amp, r, n_amp = y
-    d = q - r
-    k = 0.5 * float(np.exp(-abs(d)))
-    kp = -_sign(d) * k
+    k = 0.5 * float(np.exp(-abs(q - r)))
+    kp = -sign * k
     return (k * n_amp + 0.0, -m_amp * (kp * n_amp + 0.0),
             k * m_amp + 0.0, n_amp * (kp * m_amp + 0.0))
 
@@ -197,8 +201,8 @@ def _flat(ps: PeakonState) -> np.ndarray:
 def peakon_rhs(ps: PeakonState) -> PeakonRates:
     """Canonical equations: positions move with the other family's velocity,
     amplitudes stretch with minus its slope."""
-    count = ps.q.size
-    return PeakonRates(*_families(_rates(_flat(ps), count), count))
+    count, y = ps.q.size, _flat(ps)
+    return PeakonRates(*_families(_rates(y, count, _pair_signs(y, count)), count))
 
 
 def peakon_hamiltonian(ps: PeakonState) -> float:
@@ -229,61 +233,62 @@ def peakon_fields(ps: PeakonState, g: Grid) -> tuple[Field, Field]:
     return Field(g, u), Field(g, v)
 
 
-# Recursion depth for isolating kernel kinks inside a step.  2^-20 of a
-# step brackets a transversal crossing into ~1e-9 of the step span, far
-# below the measurement tolerances; deeper splitting would push the
-# crossing coordinates toward round-off scale, where sign jitter makes the
-# bisection branch on noise.
-_KINK_SPLIT_DEPTH = 20
-
-
 def _pair_signs(y: np.ndarray, count: int) -> np.ndarray:
     """Signs of q_a - r_b, shape (M, N), of a flat state."""
     q, _, r, _ = _families(y, count)
     return np.sign(q[:, None] - r[None, :])
 
 
-def _split_step(step, t: float, y, signs, dt: float, depth: int = 0):
-    """RK4 step of a peakon state y that subdivides across collisions.
-
-    ``step(y, signs, dt)`` is one plain step of y, whose pair signs (of
-    q_a - r_b) are ``signs``; it returns (stepped state, its pair signs,
-    crossed), crossed when a sign changed and none came out NaN.  Returns
-    (t + dt, stepped state, its pair signs), so the caller carries the signs
-    into the next step.  The right-hand side is smooth except where some
-    q_a - r_b changes sign (the kernel slope K' jumps there), and a step
-    that straddles such a crossing only reaches first-order accuracy, so a
-    crossed step is redone as two halves, recursively to _KINK_SPLIT_DEPTH:
-    each transversal crossing is bracketed into ~dt/2^20 and the smooth
-    pieces keep fourth order.  A NaN step is returned unsplit: halving
-    cannot mend it, and evolve_peakon_path reports it.
-    """
-    nxt, after, crossed = step(y, signs, dt)
-    if not crossed or depth >= _KINK_SPLIT_DEPTH:
-        return t + dt, nxt, after
-    t, y, signs = _split_step(step, t, y, signs, 0.5 * dt, depth + 1)
-    return _split_step(step, t, y, signs, 0.5 * dt, depth + 1)
+def _start_signs(y: np.ndarray, count: int) -> np.ndarray:
+    """The pair signs of q_a - r_b at the flat state y; a coincident pair
+    takes the sign its gap moves to, 0 if it does not move (K'(0) := 0)."""
+    signs = _pair_signs(y, count)
+    if signs.all():
+        return signs
+    dq, _, dr, _ = _families(_rates(y, count, signs), count)
+    return np.where(signs == 0.0, np.sign(dq[:, None] - dr[None, :]), signs)
 
 
-def _train_step(y: np.ndarray, signs: np.ndarray, dt: float,
-                count: int) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The step of _split_step for the flat state y with ``count`` m-peakons
-    and its (M, N) pair signs (see _pair_signs)."""
-    nxt = rk4_step(lambda z: _rates(z, count), y, dt)
-    after = _pair_signs(nxt, count)
-    # NaN compares unequal, so a NaN step always reaches the isnan test, and
-    # a step whose signs did not change never calls it.
-    return nxt, after, (signs != after).any() and not np.isnan(after).any()
+def _nearest(y: np.ndarray, signs: np.ndarray, count: int) -> tuple[int, float, float]:
+    """(flat index, s z, s dz/dt) of the pair whose gap z = q_a - r_b lies
+    least far on the side of its sign s; pairs of sign 0 are passed over."""
+    q, _, r, _ = _families(y, count)
+    dist = np.where(signs == 0.0, np.inf, signs * (q[:, None] - r[None, :]))
+    i = int(np.argmin(dist))
+    a, b = divmod(i, signs.shape[1])
+    dq, _, dr, _ = _families(_rates(y, count, signs), count)
+    return i, float(dist.flat[i]), float(signs.flat[i] * (dq[a] - dr[b]))
 
 
-def _pair_step(y: list[float], sign: float, dt: float) -> tuple[list[float], float, bool]:
-    """_train_step of one peakon per family, on the Python floats
-    (q, m, r, n) with the one pair sign; the same step and test, bit for
-    bit.  ``after == sign or after != after`` is the array test's negation:
-    the sign did not change, or it came out NaN."""
-    nxt = rk4_step_floats(_pair_rates, y, dt)
-    after = _sign(nxt[0] - nxt[2])
-    return nxt, after, not (after == sign or after != after)
+def _train_step(t: float, y: np.ndarray, signs: np.ndarray, dt: float,
+                count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(state, pair signs) one step on from the flat state y under its
+    (M, N) pair signs.  While the step ends with some gap q_a - r_b past
+    its sign, it is cut at the first collision, which march.locate_event
+    finds on the nearest pair (_nearest); that pair's sign flips, and the
+    rest of the step is taken again.  A sign 0 takes its gap's sign at the
+    end.  A NaN gap is on neither side, so a NaN step is not cut."""
+    def step(y, dt):  # under the signs of the piece being stepped
+        return rk4_step(lambda z: _rates(z, count, signs), y, dt)
+
+    t1, nxt = t + dt, step(y, dt)
+    while (_pair_signs(nxt, count) * signs < 0.0).any():
+        t, y = locate_event(lambda s: step(y, s - t), lambda z: _nearest(z, signs, count)[1:],
+                            t, y, t1, nxt)
+        signs = signs.copy()
+        signs.flat[_nearest(y, signs, count)[0]] *= -1.0
+        nxt = step(y, t1 - t)
+    return nxt, signs if signs.all() else np.where(signs == 0.0, _pair_signs(nxt, count), signs)
+
+
+def _pair_step(t: float, y: list[float], sign: float, dt: float) -> tuple[list[float], float]:
+    """_train_step on the floats (q, m, r, n) and the one pair sign, bit for
+    bit; a step that crosses, or has sign 0, is taken by _train_step."""
+    nxt = rk4_step_floats(_pair_rates, y, dt, sign)
+    if (nxt[0] - nxt[2]) * sign < 0.0 or not sign:
+        nxt, signs = _train_step(t, np.array(y), np.array([[sign]]), dt, 1)
+        return nxt.tolist(), float(signs[0, 0])
+    return nxt, sign
 
 
 def _checked_state(row: np.ndarray, count: int) -> PeakonState:
@@ -311,9 +316,8 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
     march holds the state as one flat array (_train_step), or as a list of
     four Python floats when there is one peakon per family (_pair_step, the
     same path bit for bit), and carries each step's pair signs into the
-    next; steps are subdivided across peakon collisions (see _split_step)
-    so the sampled path keeps fourth-order accuracy through amplitude
-    exchanges.  After each full step, and only there, the stepped
+    next, cut at collisions, so the path keeps fourth order through
+    amplitude exchanges.  After each full step, and only there, the stepped
     values are checked: a non-finite value, or an amplitude beyond
     blowup_factor * max(1, initial amplitude scale), raises BlowUpError
     whose ``trajectory`` is the path up to the step before and whose
@@ -335,13 +339,14 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
             f"a path of {(t_end - ps.t) / dt + 1:.6g} samples (t_end = {t_end!r}, "
             f"dt = {dt!r}) does not fit in memory") from None
     path[0, 0], path[0, 1:] = t, y
+    signs = _start_signs(y, count)
     if y.size == 4 and count == 1:
-        step, y = _pair_step, y.tolist()
-        signs = _sign(y[0] - y[2])
+        step, y, signs = _pair_step, y.tolist(), float(signs[0, 0])
     else:
-        step, signs = partial(_train_step, count=count), _pair_signs(y, count)
+        step = partial(_train_step, count=count)
     for k in range(n_steps):
-        t, y, signs = _split_step(step, t, y, signs, dt_eff)
+        y, signs = step(t, y, signs, dt_eff)
+        t = t + dt_eff
         values = y if isinstance(y, list) else y.tolist()
         if not all(map(isfinite, values)):
             raise BlowUpError(f"non-finite peakon state at t = {t:.6g}",
@@ -448,34 +453,27 @@ def waltz_exact(m1: float, n1: float, separation: float,
     return w, z, np.arange(first, last + 1) * half - tau0
 
 
-def _march_to_turn(path: np.ndarray, i: int, cross) -> tuple[float, list[float]]:
-    """(t, [q, m_amp, r, n_amp]) where ``cross`` of the state changes sign
-    between samples i-1 and i of a pair path, bisected in time to one ulp.
-    Each trial is a pair step (_pair_step, collision split included) from
-    the sample of smaller |cross|, the one nearer the turn, forward or
-    backward.  A zero on sample i-1 returns it; a zero on sample i, or no
-    sign change, returns sample i."""
-    t0, y0 = float(path[i - 1, 0]), path[i - 1, 1:].tolist()
-    t, y = float(path[i, 0]), path[i, 1:].tolist()
-    c0, c1 = cross(y0), cross(y)
+def _locate_turn(path: np.ndarray, i: int, cross) -> tuple[float, list[float]]:
+    """(t, [q, m_amp, r, n_amp]) where ``cross``, linear in the state,
+    changes sign between samples i-1 and i of a pair path, located by
+    march.locate_event on the march (_train_step) from the sample with the
+    smaller |cross|, forward from i-1 or back from i.  A zero on sample i-1
+    returns it; a zero on sample i, or none, returns sample i."""
+    t0, y0, t1, y1 = float(path[i - 1, 0]), path[i - 1, 1:], float(path[i, 0]), path[i, 1:]
+    c0, c1 = cross(y0), cross(y1)
     if c0 == 0.0:
-        return t0, y0
+        return t0, y0.tolist()
     if c0 * c1 >= 0.0:
-        return t, y
-    ts, ys = (t0, y0) if abs(c0) <= abs(c1) else (t, y)
-    sign = _sign(ys[0] - ys[2])
-    a, b = t0, t
-    while a < 0.5 * (a + b) < b:
-        t = 0.5 * (a + b)
-        y = _split_step(_pair_step, ts, ys, sign, t - ts)[1]
-        c = cross(y)
-        if c == 0.0:
-            break
-        if (c > 0.0) == (c0 > 0.0):
-            a = t
-        else:
-            b = t
-    return t, y
+        return t1, y1.tolist()
+    if abs(c1) < abs(c0):
+        t0, y0, c0, t1, y1 = t1, y1, c1, t0, y0
+    signs = _start_signs(y0, 1)
+
+    def event(y):  # positive on the side of y0
+        return c0 * cross(y), c0 * cross(_rates(y, 1, _pair_signs(y, 1)))
+
+    t, y = locate_event(lambda t: _train_step(t0, y0, signs, t - t0, 1)[0], event, t0, y0, t1, y1)
+    return t, y.tolist()
 
 
 def measure_waltz_path(path: np.ndarray) -> tuple[float, float]:
@@ -488,7 +486,7 @@ def measure_waltz_path(path: np.ndarray) -> tuple[float, float]:
     two samples; each is then located on the march itself, as the root of
     the cross product z w0 - w z0 of the marched state against the start
     (zero exactly when the orbit passes the antipode of the start, and
-    again on return to it), see _march_to_turn.  The swap error compares
+    again on return to it), see _locate_turn.  The swap error compares
     the amplitudes of the half-turn state against the initial amplitudes
     of the *other* family:
 
@@ -521,11 +519,11 @@ def measure_waltz_path(path: np.ndarray) -> tuple[float, float]:
         )
     zs0, ws0 = float(zs[0]), float(ws[0])
 
-    def cross(y: list[float]) -> float:
-        return (y[0] - y[2]) / z_scale * ws0 - (y[1] - y[3]) / w_scale * zs0
+    def cross(y: np.ndarray) -> float:
+        return float((y[0] - y[2]) / z_scale * ws0 - (y[1] - y[3]) / w_scale * zs0)
 
-    _, half = _march_to_turn(path, int(np.nonzero(advance >= np.pi)[0][0]), cross)
-    t_full, _ = _march_to_turn(path, int(hits[0]), cross)
+    _, half = _locate_turn(path, int(np.nonzero(advance >= np.pi)[0][0]), cross)
+    t_full, _ = _locate_turn(path, int(hits[0]), cross)
     swap_error = abs(half[1] - path[0, 4]) + abs(half[3] - path[0, 2])
     return t_full - float(path[0, 0]), float(swap_error)
 

@@ -531,9 +531,9 @@ def test_non_finite_peakon_state_exits_2_with_partial_output(tmp_path, capsys, m
     # _pair_rates.
     real_rates, calls = cchlab.peakons._pair_rates, []
 
-    def poisoned(y):
+    def poisoned(*args):
         calls.append(None)
-        rates = real_rates(y)
+        rates = real_rates(*args)
         return [v * np.nan for v in rates] if len(calls) > 40 else rates
 
     monkeypatch.setattr(cchlab.peakons, "_pair_rates", poisoned)

@@ -7,7 +7,7 @@ from math import exp
 import numpy as np
 import pytest
 
-from cchlab.march import blowup_limit, rk4_step, rk4_step_floats, substeps
+from cchlab.march import blowup_limit, locate_event, rk4_step, rk4_step_floats, substeps
 from cchlab.peakons import _pair_rates, _rates
 
 
@@ -52,16 +52,20 @@ _PERM, _COEF = [2, 0, 3, 1], np.array([0.7, -1.3, 2.1, -0.4])
 
 
 @pytest.mark.parametrize("array_rate, float_rate", [
-    (lambda y: _COEF * y[_PERM], lambda y: [c * y[p] for c, p in zip(_COEF.tolist(), _PERM)]),
-    (lambda y: _rates(y, 1), _pair_rates),
+    (lambda y, sign: _COEF * y[_PERM],
+     lambda y, sign: [c * y[p] for c, p in zip(_COEF.tolist(), _PERM)]),
+    (lambda y, sign: _rates(y, 1, np.array([[sign]])), _pair_rates),
 ], ids=["linear", "pair"])
 def test_rk4_step_floats_is_rk4_step_bit_for_bit(array_rate, float_rate):
+    # The pair rate takes the carried pair sign, here that of the start
+    # (0 at an exact collision), through rk4_step_floats' extra arguments.
     rng = np.random.default_rng(11)
     states = rng.normal(size=(2000, 4)) * 10.0 ** rng.integers(-3, 3, size=(2000, 4))
     states[::4, 2] = states[::4, 0]  # exact collisions for the pair rate
     for y, dt in zip(states, 10.0 ** rng.uniform(-5, 0, size=len(states))):
-        want = rk4_step(array_rate, y, dt)
-        got = rk4_step_floats(float_rate, y.tolist(), float(dt))
+        sign = float(np.sign(y[0] - y[2]))
+        want = rk4_step(lambda z: array_rate(z, sign), y, dt)
+        got = rk4_step_floats(float_rate, y.tolist(), float(dt), sign)
         assert np.array(got).tobytes() == want.tobytes(), (y, dt)
 
 
@@ -96,3 +100,31 @@ def test_blowup_limit_scales_the_largest_amplitude_with_a_floor_of_one():
     assert blowup_limit(10.0, np.array([0.5]), np.array([1j * 0.25])) == 10.0
     assert blowup_limit(2.0, np.array([]), np.array([-4.0])) == 8.0  # an empty family
     assert blowup_limit(2.0, np.array([]), np.array([])) == 2.0
+
+
+def _oscillator(y: np.ndarray) -> np.ndarray:
+    return np.array([y[1], -y[0]])
+
+
+@pytest.mark.parametrize("t1", [2.0, -2.0])
+def test_locate_event_lands_on_the_event_to_round_off(t1):
+    # x = cos t leaves x > 0 near t = +-pi/2, on one RK4 step from t = 0
+    # forward or back.  The real step from t = 0 to the returned time is
+    # the returned state, with x <= 0, and a few ulps earlier x is still
+    # positive: near its root x moves by about its own round-off per ulp of
+    # t.  A NaN far end is bisected to the same time.
+    y0 = np.array([1.0, 0.0])
+
+    def march(t):
+        return rk4_step(_oscillator, y0, t)
+
+    def event(y):
+        return float(y[0]), float(y[1])
+
+    found = [locate_event(march, event, 0.0, y0, t1, far)
+             for far in (march(t1), np.full(2, np.nan))]
+    t, y = found[0]
+    assert t == pytest.approx(np.copysign(np.pi / 2, t1), abs=0.05)
+    assert y.tobytes() == march(t).tobytes() and y[0] <= 0.0
+    assert march(t * (1.0 - 1e-15))[0] > 0.0
+    assert found[1][0] == t and found[1][1].tobytes() == y.tobytes()

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,17 +74,22 @@ def test_total_amplitude_rate_always_cancels(q, r, data):
 def test_pair_rates_are_the_matrix_rates_bit_for_bit():
     # The pair march evaluates one peakon per family with _pair_rates; it must
     # give the matrix form's bits, sign of zero and NaN included, on random
-    # pairs with exact collisions (q = r) and special values mixed in.
+    # pairs with exact collisions (q = r) and special values mixed in, under
+    # the state's own pair sign and under carried signs of either side or 0.
     rng = np.random.default_rng(7)
     states = rng.normal(size=(100_000, 4)) * 10.0 ** rng.integers(-3, 4, size=(100_000, 4))
     states[::5, 2] = states[::5, 0]
     special = rng.random(states.shape) < 0.05
     states[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=special.sum())
+    with np.errstate(invalid="ignore"):
+        signs = np.sign(states[:, 0] - states[:, 2])
+    carried = rng.random(len(states)) < 0.5
+    signs[carried] = rng.choice([-1.0, 0.0, 1.0], size=carried.sum())
     mismatches = []
     with np.errstate(all="ignore"):  # the matrix form warns on inf and NaN
-        for y in states:
-            got = np.array(peakons_module._pair_rates(y.tolist()))
-            want = peakons_module._rates(y, 1)
+        for y, sign in zip(states, signs.tolist()):
+            got = np.array(peakons_module._pair_rates(y.tolist(), sign))
+            want = peakons_module._rates(y, 1, np.array([[sign]]))
             if not np.array_equal(got.view(np.int64), want.view(np.int64)):
                 mismatches.append((y, got, want))
     assert not mismatches, mismatches[:3]
@@ -94,15 +97,39 @@ def test_pair_rates_are_the_matrix_rates_bit_for_bit():
 
 # --------------------------------------------------------------- validation
 
+_FAMILIES = ("q", "m_amp", "r", "n_amp")
+
+
+def _families_with(index, value):
+    families = [[0.0], [1.0], [5.0], [2.0]]
+    families[index] = value
+    return families
+
+
 def test_state_validation():
-    with pytest.raises(ValueError):
-        PeakonState(0.0, [[0.0, 1.0]], [[1.0, 1.0]], [0.0], [1.0])
-    with pytest.raises(FloatingPointError):
-        PeakonState(0.0, [np.nan], [1.0], [0.0], [1.0])
-    with pytest.raises(ValueError):
-        PeakonState(0.0, [0.0, 1.0], [1.0], [0.0], [1.0])
-    ps = PeakonState(0.0, 0.0, 1.0, 5.0, 2.0)  # scalars become 1-vectors
-    assert ps.q.shape == (1,)
+    # Each fault alone raises its exception naming the family at fault.
+    for index, name in enumerate(_FAMILIES):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(FloatingPointError, match=f"^{name} must be finite$"):
+                PeakonState(0.0, *_families_with(index, [bad]))
+        with pytest.raises(ValueError, match=f"^{name} must be one-dimensional$"):
+            PeakonState(0.0, *_families_with(index, [[0.0, 1.0]]))
+    for families in (([0.0, 1.0], [1.0], [0.0], [1.0]), ([0.0], [1.0], [0.0], [1.0, 2.0])):
+        with pytest.raises(ValueError, match="^positions and amplitudes must pair up"):
+            PeakonState(0.0, *families)
+    empty = PeakonState(0.0, [], [], [0.0], [1.0])
+    assert empty.q.shape == (0,) and empty.q.dtype == np.float64
+    ps = PeakonState(0.0, 0.0, np.array(1.0), 5, np.float32(2.0))  # scalars and 0-d arrays
+    assert [a.shape for a in (ps.q, ps.m_amp, ps.r, ps.n_amp)] == [(1,)] * 4
+    assert all(a.dtype == np.float64 for a in (ps.q, ps.m_amp, ps.r, ps.n_amp))
+
+
+def test_state_copies_its_inputs():
+    q, m_amp = [0.0, 1.0], np.array([2.0, 3.0])
+    ps = PeakonState(0.0, q, m_amp, [5.0], [1.0])
+    q[0], m_amp[0] = 9.0, 9.0
+    assert ps.q.tolist() == [0.0, 1.0] and ps.m_amp.tolist() == [2.0, 3.0]
+    assert not np.shares_memory(ps.m_amp, m_amp)
 
 
 def test_evolve_validation_and_blowup_guard():
@@ -251,10 +278,13 @@ def test_train_march_matches_the_canonical_equations():
     _assert_well_formed(traj)
 
 
-def test_collision_step_is_subdivided(monkeypatch):
+def test_collision_step_is_subdivided():
     # q - r = 0.02 closes at ~4.5 per unit time, so the pair crosses at
-    # t ~ 0.0044, inside the first coarse step.  Splitting that step keeps
-    # the coarse march at 3.9e-8 of a fine one; without it the error is 4e-2.
+    # t ~ 0.0044, inside the first coarse step.  Cut at the located
+    # collision, the coarse march stays within 4.2e-8 of a fine one (1.9e-10
+    # after the crossing step; the rest is RK4's own error at dt = 0.01).
+    # A plain RK4 march through the kink, signs taken per stage, is 4.0e-2
+    # off.
     ps = PeakonState(0.0, [0.0], [10.0], [-0.02], [1.0])
     fine = evolve_peakons(ps, 0.1, 1e-5)
 
@@ -264,13 +294,43 @@ def test_collision_step_is_subdivided(monkeypatch):
                                                 c.r - f.r, c.n_amp - f.n_amp)))))
             for c, f in zip(coarse, fine[::1000]))
 
-    assert max_error(evolve_peakons(ps, 0.1, 1e-2)) < 1e-6
-    monkeypatch.setattr(peakons_module, "_KINK_SPLIT_DEPTH", 0)
-    assert max_error(evolve_peakons(ps, 0.1, 1e-2)) > 1e-2
+    assert max_error(evolve_peakons(ps, 0.1, 1e-2)) < 1e-7
+    plain = [PeakonState(0.0, *y) for y in _oracle_march(ps, 10, 1e-2)]
+    assert max_error(plain) > 1e-2
+
+
+@pytest.mark.parametrize("m, separation, t_end, dt", [
+    (10.0, 1.0, 13.0, 1.0), (10.0, 0.0, 13.0, 0.9), (10.0, 0.3, 13.0, 0.8),
+    (1000.0, 1.0, 13.0, 0.01),
+])
+def test_coarse_steps_across_collisions_stay_on_an_orbit(m, separation, t_end, dt):
+    # Steps far across a collision are cut there as well.  A cut placed at
+    # the first cubic guess, refined once, flipped an amplitude's sign in
+    # the second and third cases and ran into the blow-up threshold.  The
+    # waltz keeps both amplitudes positive, and each RK4 stage conserves
+    # their total.
+    path = evolve_peakon_path(PeakonState(0.0, [0.0], [m], [separation], [1.0]), t_end, dt)
+    assert path[-1, 0] == t_end and np.all(np.isfinite(path))
+    assert np.all(path[:, [2, 4]] > 0.0)
+    totals = peakon_path_invariants(path, 1)[1]
+    assert np.max(np.abs(totals - (m + 1.0))) < 1e-12 * m
+
+
+def test_one_step_across_two_collisions_locates_both(monkeypatch):
+    # m = 1.1 and n = 1 from one point collide every 0.1818..., so a single
+    # step of 0.4 crosses twice: each crossing is located, and the pair
+    # sign flips at both.  Measured: 6.3e-7 and 7.1e-9 off the exact
+    # times, 1.4e-6 in w and 2.5e-8 in z at t = 0.4.
+    found = _spy_on(monkeypatch, "locate_event")
+    path = evolve_peakon_path(PeakonState(0.0, [0.0], [1.1], [0.0], [1.0]), 0.4, 0.4)
+    w, z, collisions = waltz_exact(1.1, 1.0, 0.0, 0.4)
+    assert found == pytest.approx(collisions[1:], abs=1e-6)
+    assert path[-1, 2] - path[-1, 4] == pytest.approx(float(w), abs=1e-5)
+    assert path[-1, 1] - path[-1, 3] == pytest.approx(float(z), abs=1e-7)
 
 
 WALTZ = PeakonState(0.0, [0.0], [10.0], [1.0], [1.0])
-# Collides repeatedly: 280 sub-steps are split on the way to t = 5 at dt = 1e-3.
+# Collides repeatedly: 7 collisions are located on the way to t = 5 at dt = 1e-3.
 TRAIN_3X2 = PeakonState(0.0, [-1.0, 0.0, 1.0], [1.0, 2.0, 1.0], [-0.5, 0.5], [1.0, 1.5])
 
 
@@ -286,15 +346,15 @@ def test_path_rows_are_the_listed_states_bit_for_bit(ps, t_end):
 
 
 def _array_pair_path(ps, t_end, dt, blowup_factor=1e6):
-    """evolve_peakon_path of a 1x1 state, marched on arrays with _split_step
-    over _train_step: (path, BlowUpError message or None)."""
+    """evolve_peakon_path of a 1x1 state, marched on arrays with
+    _train_step, collisions included: (path, BlowUpError message or None)."""
     y = np.concatenate((ps.q, ps.m_amp, ps.r, ps.n_amp))
     threshold = blowup_factor * max(1.0, abs(y[1]), abs(y[3]))
     n_steps, dt_eff = substeps(t_end - ps.t, dt)
-    t, signs, rows = ps.t, peakons_module._pair_signs(y, 1), [(ps.t, *y)]
+    t, signs, rows = ps.t, peakons_module._start_signs(y, 1), [(ps.t, *y)]
     for k in range(n_steps):
-        t, y, signs = peakons_module._split_step(
-            partial(peakons_module._train_step, count=1), t, y, signs, dt_eff)
+        y, signs = peakons_module._train_step(t, y, signs, dt_eff, count=1)
+        t = t + dt_eff
         peak = max(abs(y[1]), abs(y[3]))
         if peak > threshold:
             return np.array(rows), (f"peakon amplitude {float(peak)!r} exceeded the blow-up "
@@ -330,22 +390,44 @@ def test_pair_march_is_the_array_march_bit_for_bit(q, m, r, n, t_end, factor, or
         assert measure_waltz_path(path) == measure_waltz_path(want)
 
 
+def _spy_on(monkeypatch, name) -> list:
+    """Record the time t of every (t, state) that the peakon module's
+    ``name`` returns, in order: march.locate_event for collisions and
+    turns alike, _locate_turn for the turns alone."""
+    found, real = [], getattr(peakons_module, name)
+
+    def spy(*args):
+        t, y = real(*args)
+        found.append(t)
+        return t, y
+
+    monkeypatch.setattr(peakons_module, name, spy)
+    return found
+
+
 def test_collision_cases_split_steps(monkeypatch):
-    # The two close starts of the bit-identity test cross inside steps, so the
-    # pair march's split recursion is exercised there.
-    depths = []
-    real = peakons_module._split_step
-
-    def spy(step, t, y, signs, dt, depth=0):
-        assert step is peakons_module._pair_step
-        depths.append(depth)
-        return real(step, t, y, signs, dt, depth)
-
-    monkeypatch.setattr(peakons_module, "_split_step", spy)
-    for sep in (6.1e-4, 3e-3):
-        depths.clear()
-        evolve_peakon_path(PeakonState(0.0, [0.0], [10.0], [sep], [1.0]), 6.5, 1e-3)
-        assert max(depths) == peakons_module._KINK_SPLIT_DEPTH
+    # A step that crosses a collision is cut at the time the event finder
+    # locates, which must be the exact collision time.  The coincident
+    # start collides at t = 0, 1.8, 3.6 and 5.4; the first is the start,
+    # which the march leaves along the gap's rate.  The canonical waltz
+    # collides at 5.24885354 and 10.85365332, the 0.02 start at dt = 0.01
+    # once, and the close starts of the bit-identity test three times each.
+    # Measured: within 3.3e-11 (RK4's phase drift at this speed; 9.6e-13
+    # at dt = 2.5e-4), 1.3e-12, 4.6e-10 and 3.1e-11.
+    assert waltz_exact(10.0, 1.0, 0.0, 6.5)[2] == pytest.approx([0.0, 1.8, 3.6, 5.4], abs=1e-12)
+    assert waltz_exact(10.0, 1.0, 1.0, 13.0)[2] == pytest.approx([5.24885354, 10.85365332],
+                                                                 abs=1e-8)
+    found = _spy_on(monkeypatch, "locate_event")
+    for sep, t_end, dt, tol in ((0.0, 6.5, 1e-3, 1e-10), (1.0, 13.0, 1e-3, 1e-11),
+                                (-0.02, 0.5, 1e-2, 1e-9), (6.1e-4, 6.5, 1e-3, 1e-10),
+                                (3e-3, 6.5, 1e-3, 1e-10)):
+        found.clear()
+        evolve_peakon_path(PeakonState(0.0, [0.0], [10.0], [sep], [1.0]), t_end, dt)
+        exact = waltz_exact(10.0, 1.0, sep, t_end)[2]
+        exact = exact[exact > 0.0]
+        # Each exact collision is located once, and nothing else.
+        assert len(found) == len(exact), (sep, found)
+        assert all(abs(f - c) < tol for f, c in zip(found, exact)), (sep, found)
 
 
 def _random_train_path(rng, m_count, n_count, rows=40):
@@ -383,34 +465,26 @@ def test_path_waltz_measurement_is_the_list_measurement():
         measure_waltz_path(evolve_peakon_path(TRAIN_3X2, 0.1, 1e-2))
 
 
-def _spy_on_turns(monkeypatch) -> list:
-    """Record every (t, state) that measure_waltz_path locates, in order:
-    the half turn, then the full turn."""
-    turns, locate = [], peakons_module._march_to_turn
-    monkeypatch.setattr(peakons_module, "_march_to_turn",
-                        lambda *args: turns.append(locate(*args)) or turns[-1])
-    return turns
-
-
 def test_swap_error_across_a_collision_at_the_half_period(monkeypatch):
     # Starting 6.1e-4 to 3e-3 apart, the pair collides within a sample of
     # T/2.  Three-point interpolation across that kink read a swap error of
     # 2.4e-3 at 6.1e-4; a cubic fitted to the crossing across it read
-    # 2.8e-6 to 4.2e-6, with t_half 3e-7 off.  Located on the march, the
-    # turns read swap errors of 2.3e-9, 4.0e-10 and 2.3e-9, periods within
-    # 3.6e-9 of the closed form and half turns within 1e-11 of T/2.
-    turns = _spy_on_turns(monkeypatch)
+    # 2.8e-6 to 4.2e-6, with t_half 3e-7 off.  Located by the event finder
+    # on the step, the turns read swap errors of 2.5e-12 to 1.7e-11 and
+    # periods within 2e-11 of the closed form.
+    turns = _spy_on(monkeypatch, "_locate_turn")
     for separation in (6.1e-4, 2e-3, 3e-3):
-        turns.clear()
         ps = PeakonState(0.0, [0.0], [10.0], [separation], [1.0])
-        period, swap_error = measure_waltz_path(evolve_peakon_path(ps, 6.5, 1e-3))
+        path = evolve_peakon_path(ps, 6.5, 1e-3)
+        turns.clear()
+        period, swap_error = measure_waltz_path(path)
         exact = waltz_period_closed_form(10.0, 1.0, separation)
         assert abs(period - exact) < 1e-8, separation
         assert swap_error < 1e-8, separation
         # The orbit's point symmetry puts the antipode of the start at T/2.
         w, z, _ = waltz_exact(10.0, 1.0, separation, 0.5 * exact)
         assert (w, z) == (pytest.approx(-9.0, abs=1e-12), pytest.approx(separation, abs=1e-12))
-        assert abs(turns[0][0] - 0.5 * exact) < 1e-9, separation
+        assert abs(turns[0] - 0.5 * exact) < 1e-9, separation  # the half turn
 
 
 def test_the_half_turn_is_marched_from_the_nearer_sample():
@@ -435,10 +509,9 @@ def test_a_turn_on_a_sample_is_read_from_that_sample(monkeypatch):
     i_full = int(np.searchsorted(path[:, 0], exact))
     path[i_half, 1:] = path[0, [3, 4, 1, 2]]  # the families swapped: (-z0, -w0)
     path[i_full, 1:] = path[0, 1:]
-    turns = _spy_on_turns(monkeypatch)
+    found = _spy_on(monkeypatch, "locate_event")
     assert measure_waltz_path(path) == (path[i_full, 0], 0.0)
-    assert [t for t, _ in turns] == [path[i_half, 0], path[i_full, 0]]
-    assert [y for _, y in turns] == [path[i_half, 1:].tolist(), path[i_full, 1:].tolist()]
+    assert found == []  # read from the samples, not located
 
 
 # ------------------------------------------------------------------- orbits
@@ -466,8 +539,8 @@ def test_closed_form_period_values_and_validation():
 def test_quick_orbit_matches_closed_form_period():
     traj = evolve_peakons(PeakonState(0.0, [0.0], [10.0], [0.0], [1.0]), 4.0, 1e-3)
     period, swap_error = measure_waltz(traj)
-    assert period == pytest.approx(3.6, abs=1e-7)  # measured gap 5.9e-9
-    assert swap_error < 1e-6                       # measured 3.1e-8
+    assert period == pytest.approx(3.6, abs=1e-7)  # measured gap 2.0e-11
+    assert swap_error < 1e-6                       # measured 2.9e-14
 
 
 def test_waltz_measurement_error_paths():
@@ -499,21 +572,21 @@ def test_exact_waltz_period_and_collisions():
 
 
 def test_canonical_waltz_path_follows_the_exact_orbit():
-    # J's measurement of the same march: 4.6e-12 before the first collision
-    # and 1.7e-9 after it up to t = 6.5 (7.0e-9 to t = 13); the error after a
-    # collision is the split leaf that straddles the kink.
+    # The error is 4.6e-12 before the first collision and 8.3e-12 after it,
+    # to t = 13: a collision located on the step adds little (7.0e-9 when
+    # collisions were bisected to a first-order leaf).
     path = evolve_peakon_path(WALTZ, 13.0, 1e-3)
     w, z, collisions = waltz_exact(10.0, 1.0, 1.0, path[:, 0])
     assert len(collisions) == 2
     error = np.maximum(np.abs(path[:, 2] - path[:, 4] - w), np.abs(path[:, 1] - path[:, 3] - z))
     before = path[:, 0] < collisions[0]
     assert np.max(error[before]) < 1e-10
-    assert np.max(error[~before]) < 1e-7
+    assert np.max(error[~before]) < 1e-10
     # The exact period is twice the collision spacing and the exact swap
-    # error is 0; measured 1.9e-9 and 5.8e-10.
+    # error is 0; measured 8.3e-13 and 6.5e-13.
     period, swap_error = measure_waltz_path(path)
-    assert period == pytest.approx(2.0 * (collisions[1] - collisions[0]), abs=1e-7)
-    assert swap_error < 3e-8
+    assert period == pytest.approx(2.0 * (collisions[1] - collisions[0]), abs=1e-10)
+    assert swap_error < 1e-10
 
 
 # ------------------------------------------------------------------- fields
