@@ -97,37 +97,35 @@ def init_characteristics(g: Grid, t: float = 0.0,
 def advance_with_stages(
     flows: np.ndarray,
     g: Grid,
-    velocity_stages: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    velocity_stages: list[np.ndarray],
     dt: float,
     t_new: float,
 ) -> np.ndarray:
     """Advance a flows array (``CharacteristicSet.flows``) by one step to
-    time ``t_new``, using the four real (u, u_x, v, v_x) RK4 stage fields.
+    time ``t_new``, using the four real (u, u_x, v, v_x) RK4 stage records.
 
     Called by the PDE stepper so positions and Jacobians see exactly the
     same intermediate states as the momenta (the extended system stays a
     single fourth-order RK4 scheme).  The array takes one
     ``march.rk4_step``, whose i-th rate evaluates dx/dt = w(x),
     dlog(jac)/dt = w_x(x) -- w = v along phi, u along xi -- by one periodic
-    cubic interpolation from the stacked table (v, u, v_x, u_x) of stage i,
-    with cell indices and weights shared by w and w_x.  Raises
-    DomainTooSmallError when a flow leaves the window and FloatingPointError
-    when adjacent characteristics of a flow meet or cross.
+    cubic interpolation from the rows of record i, with cell indices and
+    weights shared by w and w_x.  Raises DomainTooSmallError when a flow
+    leaves the window and FloatingPointError when adjacent characteristics
+    of a flow meet or cross.
     """
     count = flows.shape[1] // 2
     nodes = g.n_points
-    # Each stage's table is (v, u, v_x, u_x), read flat: phi reads v, xi
-    # reads u, and w_x sits 2 * nodes further on than w.
-    offset = np.repeat(np.array([0, nodes]), count) + np.array([[0], [2 * nodes]])
+    # Read flat, a record has w at 2 * nodes for phi (v), at 0 for xi (u),
+    # and w_x one row further on.
+    offset = np.repeat(np.array([2 * nodes, 0]), count) + np.array([[0], [nodes]])
     stages = iter(velocity_stages)
 
     def rates(y: np.ndarray) -> np.ndarray:
         """(dx/dt, dlog(jac)/dt) at the positions y[0], shape (2, points)."""
-        u, ux, v, vx = next(stages)
-        table = np.concatenate((v, u, vx, ux))
         cells, weights = periodic_stencil(g, y[0])
         index = cells[:, None, :] + offset
-        return np.sum(weights[:, None, :] * table.take(index), axis=0)
+        return np.sum(weights[:, None, :] * next(stages).take(index), axis=0)
 
     stepped = rk4_step(rates, flows, dt)
     for name, flow in (("phi", stepped[0, :count]), ("xi", stepped[0, count:])):
@@ -158,12 +156,10 @@ def advect(cs: CharacteristicSet, u: Field, v: Field, dt: float) -> Characterist
     if u.is_complex or v.is_complex:
         raise ValueError("characteristic advection needs real velocities")
     g = u.grid
-    ux = g.deriv(u.values)
-    vx = g.deriv(v.values)
-    frozen = [(u.values, ux, v.values, vx)] * 4
+    frozen = np.array((u.values, g.deriv(u.values), v.values, g.deriv(v.values)))
     t = cs.t + dt
     return CharacteristicSet.from_flows(
-        t, cs.labels, advance_with_stages(cs.flows(), g, frozen, dt, t))
+        t, cs.labels, advance_with_stages(cs.flows(), g, [frozen] * 4, dt, t))
 
 
 def pullback_residual(

@@ -36,6 +36,7 @@ from .diagnostics import DEFAULT_SUPPORT_FACTOR, DEFAULT_TAIL_TOLERANCE
 from .errors import ConfigurationError
 from .grid import Field, Grid, make_grid
 from .march import DEFAULT_BLOWUP_FACTOR
+from .solver import partner
 
 __all__ = [
     "ScenarioConfig",
@@ -381,9 +382,10 @@ def build_initial_condition(cfg: ScenarioConfig, g: Grid) -> tuple[Field, Field]
 
     Momentum targets (m0/n0) are sampled directly; velocity targets
     (u0/v0) are converted spectrally via the forward Helmholtz operator.
-    For kind=complex the pair is the complex momentum and its conjugate,
-    built from u0 (+ optional u0_im).  Missing sides default to zero
-    (ch_reduction copies the m-side).
+    For kind=complex the momentum is built from u0 (+ optional u0_im).  A
+    reduction mode derives n as the partner of m (``solver.partner``: m
+    itself for ch_reduction, conj(m) for complex_conjugate); otherwise a
+    missing n-side defaults to zero.
     """
     if cfg.kind == "peakon":
         raise ConfigurationError("peakon scenarios have no field initial condition")
@@ -393,14 +395,12 @@ def build_initial_condition(cfg: ScenarioConfig, g: Grid) -> tuple[Field, Field]
         if cfg.u0_im is not None:
             u_values = u_values + 1j * _eval_expression(cfg.u0_im, g)
         m_values = g.fwd_helmholtz(u_values)
-        return Field(g, m_values), Field(g, np.conj(m_values))
-
-    if cfg.m0 is not None:
+    elif cfg.m0 is not None:
         m_values = _eval_expression(cfg.m0, g)
     else:
         m_values = g.fwd_helmholtz(_eval_expression(cfg.u0, g))
-    if cfg.mode == "ch_reduction":
-        n_values = m_values.copy()
+    if cfg.mode != "coupled":
+        n_values = partner(cfg.mode, m_values[None])[0]
     elif cfg.n0 is not None:
         n_values = _eval_expression(cfg.n0, g)
     elif cfg.v0 is not None:

@@ -14,18 +14,19 @@ dealiased by the two-thirds rule before and after multiplication.
 
 The state is marched in spectral space: the evolved momenta are held as
 Fourier coefficients, on the half spectrum (rfft) for real runs and the full
-spectrum (fft) for complex runs.  The reductions are built into that state
-rather than imposed afterwards: ch_reduction evolves m alone with v = u and
-n = m, complex_conjugate evolves m alone with v = conj(u) and n = conj(m), so
-both constraints hold exactly at every step.  A right-hand-side stage makes
-one batched inverse transform that builds (u, u_x, m, m_x) -- and
-(v, v_x, n, n_x) for a coupled pair -- from the operator tables the Grid
-precomputes, forms the products in physical space, and returns through one
-batched forward transform.
+spectrum (fft) for complex runs.  The reductions are built into that state:
+they evolve m alone and change only its ``partner``, the row whose velocity
+carries it -- m itself for ch_reduction (n = m), conj(m) for
+complex_conjugate (n = conj m) -- so both constraints hold exactly at every
+step.  A right-hand-side stage makes one batched inverse transform that
+builds (u, u_x, m, m_x) for every evolved row from the operator tables the
+Grid precomputes, forms -2 w_x m - w m_x with w the partner's velocity, and
+returns through one batched forward transform, with the stage's velocity
+record (u, u_x, v, v_x).
 
 Time stepping is the fixed-step RK4 of cchlab.march with an advective stability
 guard and a loud blow-up guard; optional characteristic flows are advanced with
-the step's four stage velocities so the extended system retains fourth order.
+the step's four velocity records so the extended system retains fourth order.
 """
 
 from __future__ import annotations
@@ -63,6 +64,18 @@ MODES = (COUPLED, CH_REDUCTION, COMPLEX_CONJUGATE)
 # Tolerance with which PdeState accepts data on a reduction manifold
 # (m == n, n == conj m); the march then keeps the constraint exactly.
 _MODE_TOL = 1e-12
+_REDUCTION_RULES = {CH_REDUCTION: "m == n", COMPLEX_CONJUGATE: "n == conj(m)"}
+
+
+def partner(mode: str, rows: np.ndarray) -> np.ndarray:
+    """The partner of each evolved row (first axis): the rows of a coupled
+    state, (m, n), are each other's partners; a reduction's one row m has
+    the partner m (ch_reduction) or conj(m) (complex_conjugate).  ``rows``
+    may hold any per-row quantity, such as the momenta or their velocities.
+    """
+    if mode == COUPLED:
+        return rows[::-1]
+    return rows if mode == CH_REDUCTION else np.conj(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,15 +92,12 @@ class PdeState:
             raise ConfigurationError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.m.grid != self.n.grid:
             raise ValueError("m and n must live on the same grid")
-        scale = max(1.0, self.m.max_abs(), self.n.max_abs())
-        if self.mode == CH_REDUCTION:
-            gap = float(np.max(np.abs(self.m.values - self.n.values)))
-            if gap > _MODE_TOL * scale:
-                raise ValueError(f"ch_reduction requires m == n (gap {gap:.3e})")
-        elif self.mode == COMPLEX_CONJUGATE:
-            gap = float(np.max(np.abs(self.n.values - np.conj(self.m.values))))
-            if gap > _MODE_TOL * scale:
-                raise ValueError(f"complex_conjugate requires n == conj(m) (gap {gap:.3e})")
+        if self.mode != COUPLED:
+            n = partner(self.mode, self.m.values[None])[0]
+            gap = float(np.max(np.abs(self.n.values - n)))
+            if gap > _MODE_TOL * max(1.0, self.m.max_abs(), self.n.max_abs()):
+                raise ValueError(f"{self.mode} requires {_REDUCTION_RULES[self.mode]} "
+                                 f"(gap {gap:.3e})")
 
     @property
     def grid(self) -> Grid:
@@ -110,16 +120,12 @@ class Trajectory:
         return [s.t for s in self.states]
 
 
-# Stage velocities (u, u_x, v, v_x) in physical space.
-_Velocities = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
 @dataclass(frozen=True)
 class _Core:
     """How a state is held in spectral space: transform tables and rows.
 
     A coupled state has the rows (m, n); the reductions evolve m alone and
-    derive n = m (ch_reduction) or n = conj(m) (complex_conjugate).
+    derive n as its partner (see ``partner``).
     """
 
     grid: Grid
@@ -144,39 +150,32 @@ class _Core:
 
     def pair(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Physical (m, n) from physical rows."""
-        if self.mode == COUPLED:
-            return rows[0], rows[1]
-        return rows[0], (rows[0] if self.mode == CH_REDUCTION else np.conj(rows[0]))
+        return rows[0], partner(self.mode, rows)[0]
 
     def state(self, rows: np.ndarray, t: float) -> PdeState:
         m, n = self.pair(rows)
         return PdeState(t, Field(self.grid, m), Field(self.grid, n), self.mode)
 
 
-def _stage(core: _Core, spec: np.ndarray) -> tuple[np.ndarray, _Velocities]:
+def _stage(core: _Core, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One right-hand-side evaluation on a spectral state.
 
     One batched inverse transform builds (u, u_x, m, m_x) for every row,
-    every factor projected onto the lower two thirds of the spectrum; the
-    products return through one batched forward transform, projected the
-    same way.  Returns the rate spectrum and the stage velocities.
+    every factor projected onto the lower two thirds of the spectrum; each
+    row's rate -2 w_x m - w m_x reads the velocity w of its partner, and the
+    rates return through one batched forward transform, projected the same
+    way.  Returns the rate spectrum and the velocity record, the (4, nodes)
+    rows (u, u_x, v, v_x).
     """
     sp = core.sp
-    rows = spec.shape[0]
-    phys = sp.inverse((spec[:, None, :] * sp.stage_ops).reshape(4 * rows, -1))
-    u, ux, m, mx = phys[:4]
-    if core.mode == COUPLED:
-        v, vx, n, nx = phys[4:]
-        rates = np.stack((-2.0 * vx * m - v * mx, -2.0 * ux * n - u * nx))
-    else:
-        v, vx = (u, ux) if core.mode == CH_REDUCTION else (np.conj(u), np.conj(ux))
-        rates = (-2.0 * vx * m - v * mx)[None]
-    return sp.forward(rates) * sp.keep, (u, ux, v, vx)
+    phys = sp.inverse(spec[:, None, :] * sp.stage_ops)
+    w = partner(core.mode, phys[:, :2])
+    rates = -2.0 * w[:, 1] * phys[:, 2] - w[:, 0] * phys[:, 3]
+    return sp.forward(rates) * sp.keep, np.concatenate((phys[0, :2], w[0]))
 
 
-def _check_stability(g: Grid, dt: float, w: _Velocities) -> None:
-    u, _, v, _ = w
-    speed = max(float(np.max(np.abs(u))), float(np.max(np.abs(v))), 1e-14)
+def _check_stability(g: Grid, dt: float, w: np.ndarray) -> None:
+    speed = max(float(np.max(np.abs(w[::2]))), 1e-14)
     bound = 0.5 * g.spacing / speed
     if abs(dt) > bound:
         raise StabilityError(
@@ -186,15 +185,15 @@ def _check_stability(g: Grid, dt: float, w: _Velocities) -> None:
 
 
 def _step(core: _Core, spec: np.ndarray, dt: float, threshold: float,
-          t_new: float) -> tuple[np.ndarray, np.ndarray, list[_Velocities]]:
+          t_new: float) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """One guarded RK4 step of a spectral state.
 
     Returns the stepped spectrum, its physical rows and the four stage
-    velocities.  Raises StabilityError before stepping when dt exceeds the
-    advective bound, and BlowUpError (without a state) when the stepped
+    velocity records.  Raises StabilityError before stepping when dt exceeds
+    the advective bound, and BlowUpError (without a state) when the stepped
     momenta exceed ``threshold``.
     """
-    stages: list[_Velocities] = []
+    stages: list[np.ndarray] = []
 
     def rate(y: np.ndarray) -> np.ndarray:
         r, w = _stage(core, y)

@@ -9,8 +9,9 @@ from cchlab.characteristics import (CharacteristicSet, advance_with_stages,
                                     advect, init_characteristics,
                                     pullback_residual, support_bounds)
 from cchlab.errors import DomainTooSmallError
-from cchlab.grid import Field, make_grid
-from cchlab.solver import PdeState, evolve
+from cchlab.grid import Field, interp_periodic, make_grid
+from cchlab.march import rk4_step
+from cchlab.solver import CH_REDUCTION, COUPLED, PdeState, _Core, _step, evolve
 
 from conftest import bump_values
 
@@ -65,11 +66,42 @@ def test_underflowed_jacobian_is_rejected(grid_small):
     # which no set may hold.
     cs = init_characteristics(grid_small)
     zero = np.zeros(grid_small.n_points)
-    stage = (zero, zero, zero, np.full(grid_small.n_points, -1e6))
+    stage = np.array((zero, zero, zero, np.full(grid_small.n_points, -1e6)))  # (u, u_x, v, v_x)
     flows = advance_with_stages(cs.flows(), grid_small, [stage] * 4, 1e-3, 1e-3)
     assert np.allclose(flows[1, :cs.labels.size], -1000.0)
     with pytest.raises(ValueError, match="Jacobians must be positive"):
         CharacteristicSet.from_flows(1e-3, cs.labels, flows)
+
+
+@pytest.mark.parametrize("mode, phi_rows", [(COUPLED, (2, 3)), (CH_REDUCTION, (0, 1))])
+def test_stage_gather_is_row_interpolation_bit_for_bit(mode, phi_rows):
+    # The four records (u, u_x, v, v_x) of one real step of the canonical
+    # tracked bump pair: phi reads v and v_x, xi reads u and u_x, and in the
+    # CH reduction (m alone, as its own partner) both flows follow u.
+    g = make_grid(30.0, 2048)
+    m = Field(g, bump_values(g.nodes, -2.0, 3.0, 1.0))
+    n = m if mode == CH_REDUCTION else Field(g, bump_values(g.nodes, 2.0, 3.0, 1.0))
+    state = PdeState(0.0, m, n, mode)
+    core = _Core.of(state)
+    _, _, stages = _step(core, core.spectral(state), 1e-3, np.inf, 1e-3)
+    if mode == CH_REDUCTION:
+        assert all(np.array_equal(w[:2], w[2:]) for w in stages)
+    flows = init_characteristics(g, stride=4).flows()
+    count = flows.shape[1] // 2
+    w_row, wx_row = phi_rows
+    records = iter(stages)
+
+    def by_rows(y):
+        w = next(records)
+        phi, xi = y[0, :count], y[0, count:]
+        return np.array((
+            np.concatenate((interp_periodic(g, w[w_row], phi), interp_periodic(g, w[0], xi))),
+            np.concatenate((interp_periodic(g, w[wx_row], phi), interp_periodic(g, w[1], xi)))))
+
+    want = rk4_step(by_rows, flows, 1e-3)
+    got = advance_with_stages(flows, g, stages, 1e-3, 1e-3)
+    assert np.array_equal(got, want)
+    assert not np.array_equal(got, flows)
 
 
 # -------------------------------------------------------------------- advection

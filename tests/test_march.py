@@ -13,7 +13,7 @@ from cchlab.peakons import _pair_rates, _rates
 
 def test_rk4_step_calls_rate_four_times_at_the_stage_points():
     # The solver's stability check on the first stage and the
-    # characteristics' i-th stage table both rely on this call order.
+    # characteristics' i-th stage record both rely on this call order.
     calls = []
 
     def rate(y):

@@ -39,11 +39,11 @@ def test_state_validation():
     with pytest.raises(ValueError):
         PdeState(0.0, f, Field(other, np.zeros(512)))
     bumped = Field(g, bump_values(g.nodes, 0.0, 3.0, 1.0))
-    with pytest.raises(ValueError):
-        PdeState(0.0, bumped, f, CH_REDUCTION)  # m != n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ch_reduction requires m == n \(gap"):
+        PdeState(0.0, bumped, f, CH_REDUCTION)
+    with pytest.raises(ValueError, match=r"complex_conjugate requires n == conj\(m\) \(gap"):
         PdeState(0.0, Field(g, bumped.values * 1j), Field(g, bumped.values * 1j),
-                 COMPLEX_CONJUGATE)  # n != conj(m)
+                 COMPLEX_CONJUGATE)
 
 
 def test_step_rejects_bad_dt(small_state):

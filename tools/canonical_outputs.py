@@ -1,0 +1,62 @@
+"""Write the canonical seed-0 outputs of one source tree, for byte comparison.
+
+    python3 tools/canonical_outputs.py SRC_TREE OUT_DIR
+
+runs the four benchmark workloads (bump_pair_tracked, complex_reduction,
+peakon_waltz, peakon_scan) with the seed-0 configs of
+``bench/workloads.make_inputs`` through ``python -m cchlab.cli``, importing
+cchlab from ``SRC_TREE/src``.  Each workload writes its CSVs (and the
+tracked run its ``_fields.csv``) under ``OUT_DIR/<workload>/``; the configs
+and the runs' stdout stay in a temporary directory, so that two trees can
+be compared with
+
+    diff -r --brief OUT_A OUT_B
+
+The configs are used as they are; only their ``out`` path is chosen here.
+Exits 1 if a run fails or the tree holds no cchlab sources.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from workloads import WORKLOADS, make_inputs  # noqa: E402
+
+
+def write_outputs(src_tree: str, out_dir: str) -> int:
+    src = os.path.join(os.path.abspath(src_tree), "src")
+    if not os.path.isfile(os.path.join(src, "cchlab", "__init__.py")):
+        print(f"no cchlab sources under {src}", file=sys.stderr)
+        return 1
+    env = dict(os.environ, PYTHONPATH=src, CCCH_THREADS="1")
+    with tempfile.TemporaryDirectory() as work:
+        for name in WORKLOADS:
+            target = os.path.join(os.path.abspath(out_dir), name)
+            os.makedirs(target, exist_ok=True)
+            inputs = make_inputs(name, 0, os.path.join(target, "out.csv"))
+            config = os.path.join(work, f"{name}.cfg")
+            with open(config, "w", encoding="utf-8") as handle:
+                handle.write(inputs.config)
+            verb = ["run", config] if inputs.vary is None else [
+                "sweep", config, "--vary", inputs.vary]
+            done = subprocess.run([sys.executable, "-m", "cchlab.cli"] + verb, env=env,
+                                  cwd=work, capture_output=True, text=True)
+            if done.returncode != 0:
+                print(f"{name}: exit {done.returncode}\n{done.stdout}{done.stderr}",
+                      file=sys.stderr)
+                return 1
+            print(f"{name}: wrote {', '.join(sorted(os.listdir(target)))}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        print("usage: python3 tools/canonical_outputs.py SRC_TREE OUT_DIR", file=sys.stderr)
+        sys.exit(2)
+    sys.exit(write_outputs(sys.argv[1], sys.argv[2]))
