@@ -1,18 +1,20 @@
 """Conserved quantities, exponential moments, tails, and support measures.
 
-Everything here is a pure function of a snapshot.  The exponentially
-weighted integrals (moments of e^{+y} and e^{-y} against the momenta) are
-evaluated over the measured support of the integrand rather than the whole
-window: the weights reach e^{L} at the window edge, which would amplify
-harmless round-off ripple far from the solution into leading-order noise.
-A contamination guard rejects snapshots whose fields approach the window
-edge, since then the periodic window can no longer stand in for the real
-line.
+Everything here is a pure function of a snapshot.  A support is the index
+span of the samples above a threshold frozen from the initial data
+(``settings_from_initial``).  The exponentially weighted integrals (moments
+of e^{+y} and e^{-y} against the momenta) run over the span of their
+momentum rather than the whole window: the weights reach e^{L} at the
+window edge, which would amplify harmless round-off ripple far from the
+solution into leading-order noise.  A contamination guard rejects snapshots
+whose fields approach the window edge, since then the periodic window can
+no longer stand in for the real line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from math import inf
 from typing import Optional
 
 import numpy as np
@@ -67,7 +69,8 @@ _TAIL_MIN_NODES = 10
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One snapshot's worth of monitored quantities (CSV row)."""
+    """One snapshot's worth of monitored quantities (CSV row); the supports
+    of m, n and u are node intervals, None when no sample is above threshold."""
 
     t: float
     H: float
@@ -81,7 +84,6 @@ class DiagnosticsRecord:
     supp_m: Optional[tuple[float, float]]
     supp_n: Optional[tuple[float, float]]
     supp_u: Optional[tuple[float, float]]
-    supp_v: Optional[tuple[float, float]]
     tail_slope_left: float
     tail_slope_right: float
     max_abs: float
@@ -113,14 +115,20 @@ def record_row(rec: DiagnosticsRecord, with_pullback: bool) -> list[Optional[flo
 
 @dataclass(frozen=True)
 class DiagnosticsSettings:
-    """Absolute support thresholds (frozen from the initial data) and the
-    contamination tolerance."""
+    """Absolute support thresholds of m, n and u and the contamination
+    tolerance, each positive and finite (ValueError naming the field): a NaN
+    would compare false everywhere, emptying supports or passing any edge."""
 
     eps_m: float
     eps_n: float
     eps_u: float
-    eps_v: float
     tail_tolerance: float = DEFAULT_TAIL_TOLERANCE
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0.0 < value < inf:
+                raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 
 
 def settings_from_initial(
@@ -128,12 +136,12 @@ def settings_from_initial(
     support_factor: float = DEFAULT_SUPPORT_FACTOR,
     tail_tolerance: float = DEFAULT_TAIL_TOLERANCE,
 ) -> DiagnosticsSettings:
-    """Freeze support thresholds as support_factor times each field's
-    initial magnitude (fields that start at zero fall back to the m-scale)."""
+    """Freeze the thresholds of m, n and u as support_factor times each
+    initial magnitude (a zero field takes the largest of m, n, u and v)."""
     u0, v0 = recover_velocity(state0)
     scales = [f.max_abs() for f in (state0.m, state0.n, u0, v0)]
     fallback = max(max(scales), 1e-300)
-    eps = [support_factor * (s if s > 0.0 else fallback) for s in scales]
+    eps = [support_factor * (s if s > 0.0 else fallback) for s in scales[:3]]
     return DiagnosticsSettings(*eps, tail_tolerance=tail_tolerance)
 
 
@@ -166,18 +174,25 @@ def momentum_P(m: Field, n: Field) -> float:
     return float(np.real(np.sum(m.values + n.values)) * m.grid.spacing)
 
 
+def _span(values: np.ndarray, eps: float) -> Optional[tuple[int, int]]:
+    """(first, last) index of the samples with |value| > eps, or None."""
+    idx = np.flatnonzero(np.abs(values) > eps)
+    return (int(idx[0]), int(idx[-1])) if idx.size else None
+
+
+def _interval(g: Grid, span: Optional[tuple[int, int]]) -> Optional[tuple[float, float]]:
+    """The nodes at the ends of an index span (None for None)."""
+    return None if span is None else (float(g.nodes[span[0]]), float(g.nodes[span[1]]))
+
+
 def support_measure(f: Field, epsilon: float) -> Optional[tuple[float, float]]:
     """Smallest node interval containing every sample with |f| > epsilon.
 
     Returns None when no sample exceeds the threshold.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    mask = np.abs(f.values) > epsilon
-    if not mask.any():
-        return None
-    idx = np.nonzero(mask)[0]
-    return float(f.grid.nodes[idx[0]]), float(f.grid.nodes[idx[-1]])
+    if not 0.0 < epsilon < inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    return _interval(f.grid, _span(f.values, epsilon))
 
 
 def boundary_contamination(u: Field, v: Field) -> float:
@@ -199,23 +214,10 @@ def boundary_contamination(u: Field, v: Field) -> float:
     return float(np.max(weighted)) / overall
 
 
-def _windowed_weighted_integral(f: Field, sign: int, eps: float) -> float:
-    """Trapezoid of e^{sign * y} f over the measured support of f."""
-    window = support_measure(f, eps)
-    if window is None:
-        return 0.0
-    g = f.grid
-    lo = int(round((window[0] + g.half_length) / g.spacing))
-    hi = int(round((window[1] + g.half_length) / g.spacing))
-    y = g.nodes[lo: hi + 1]
-    vals = f.values[lo: hi + 1]
-    return float(np.real(np.trapezoid(np.exp(sign * y) * vals, dx=g.spacing)))
-
-
-def _moment_pair(w: np.ndarray, w_x: np.ndarray, window: Optional[tuple[float, float]],
+def _moment_pair(w: np.ndarray, w_x: np.ndarray, span: Optional[tuple[int, int]],
                  g: Grid) -> tuple[float, float]:
     """Exact (int e^{y} f dy, int e^{-y} f dy) over the measured support
-    ``window`` of f = w - w'' (widened by _MOMENT_MARGIN on each side).
+    ``span`` of f = w - w'' (widened by _MOMENT_MARGIN on each side).
 
     With w the inverse Helmholtz image of f and w_x its spectral
     derivative, the integrands have the closed antiderivatives e^{y}(w - w')
@@ -228,11 +230,10 @@ def _moment_pair(w: np.ndarray, w_x: np.ndarray, window: Optional[tuple[float, f
     margin does not change nonzero moments.  An unmeasured support gives
     zeros; real parts are returned for complex fields.
     """
-    if window is None:
+    if span is None:
         return 0.0, 0.0
     pad = int(round(_MOMENT_MARGIN / g.spacing))
-    lo = max(int(round((window[0] + g.half_length) / g.spacing)) - pad, 0)
-    hi = min(int(round((window[1] + g.half_length) / g.spacing)) + pad, g.n_points - 1)
+    lo, hi = max(span[0] - pad, 0), min(span[1] + pad, g.n_points - 1)
     a, b = g.nodes[lo], g.nodes[hi]
     plus = (np.exp(b) * (w[hi] - w_x[hi])) - (np.exp(a) * (w[lo] - w_x[lo]))
     minus = (np.exp(-a) * (w[lo] + w_x[lo])) - (np.exp(-b) * (w[hi] + w_x[hi]))
@@ -250,47 +251,39 @@ def _check_contamination(u: Field, v: Field, tolerance: float) -> float:
     return contamination
 
 
-def _support_threshold(f: Field) -> float:
-    """DEFAULT_SUPPORT_FACTOR times the magnitude of f, floored above zero."""
-    return DEFAULT_SUPPORT_FACTOR * max(f.max_abs(), 1e-300)
-
-
 def exp_moments(m: Field, n: Field) -> tuple[float, float, float, float]:
     """Exponentially weighted momentum integrals (Eu_plus, Eu_minus,
-    Ev_plus, Ev_minus).
+    Ev_plus, Ev_minus): the moments of the record of (m, n) as an initial
+    snapshot, under settings_from_initial.
 
-    Eu_± integrates e^{±y} m(y) dy and Ev_± does the same with n.  Each
-    integral runs over the measured support of its own integrand
-    (DEFAULT_SUPPORT_FACTOR times its magnitude) and is evaluated through
-    the exact antiderivative e^{±y}(w ∓ w') of e^{±y}(w - w''), so the
-    value carries no quadrature error and the e^{L}-scale edge weights
-    never touch far-field round-off.  Complex momenta contribute their real
-    parts (the self-conjugate pair sums to a real quantity).  Raises
+    Eu_± integrates e^{±y} m(y) dy and Ev_± does the same with n, each over
+    the support of its own momentum, through the exact antiderivative (see
+    _moment_pair).  Complex momenta contribute their real parts (the
+    self-conjugate pair sums to a real quantity).  Raises
     DomainTooSmallError when edge contamination exceeds
     DEFAULT_TAIL_TOLERANCE.
     """
-    _require_same_grid(m, n)
-    g = m.grid
-    u = Field(g, g.inv_helmholtz(m.values))
-    v = Field(g, g.inv_helmholtz(n.values))
-    _check_contamination(u, v, DEFAULT_TAIL_TOLERANCE)
-    supp_m = support_measure(m, _support_threshold(m))
-    supp_n = support_measure(n, _support_threshold(n))
-    return (_moment_pair(u.values, g.deriv(u.values), supp_m, g)
-            + _moment_pair(v.values, g.deriv(v.values), supp_n, g))
+    state = PdeState(0.0, m, n)
+    rec = compute_record(state, settings_from_initial(state))
+    return rec.Eu_plus, rec.Eu_minus, rec.Ev_plus, rec.Ev_minus
 
 
 def quadrature_noise_floor(m: Field, n: Field) -> float:
     """Round-off scale of the weighted moment quadratures.
 
-    Machine epsilon times the absolute-value version of the largest
-    weighted integral; measured moments below a few of these are
-    indistinguishable from zero.
+    Machine epsilon times the largest trapezoid of e^{±y}|f| over the
+    support of f, for f in (m, n), under the thresholds of exp_moments;
+    measured moments below a few of these are indistinguishable from zero.
     """
-    scale = max(_windowed_weighted_integral(Field(f.grid, np.abs(f.values)), sign,
-                                            _support_threshold(f))
-                for f in (m, n) for sign in (+1, -1))
-    return float(np.finfo(np.float64).eps) * m.grid.n_points * max(scale, 1e-300)
+    settings = settings_from_initial(PdeState(0.0, m, n))
+    g = m.grid
+    scale = 1e-300
+    for f, span in ((m, _span(m.values, settings.eps_m)), (n, _span(n.values, settings.eps_n))):
+        if span is not None:
+            y, mag = g.nodes[span[0]: span[1] + 1], np.abs(f.values[span[0]: span[1] + 1])
+            scale = max(scale, *(float(np.trapezoid(np.exp(sign * y) * mag, dx=g.spacing))
+                                 for sign in (+1, -1)))
+    return float(np.finfo(np.float64).eps) * g.n_points * scale
 
 
 def moment_rate_check(
@@ -374,8 +367,9 @@ def compute_record(
     n0: Optional[Field] = None,
 ) -> DiagnosticsRecord:
     """Evaluate every monitored quantity for one snapshot, in one pass: the
-    velocities, their derivatives, the four supports and the contamination
-    guard are each evaluated once and every column is derived from them.
+    velocities, their derivatives, the index spans of the supports of m, n
+    and u and the contamination guard are each evaluated once and every
+    column is derived from them.
 
     Tail slopes are fitted beyond the measured support of the matching
     momentum; when a slope (or a support) is not measurable the record
@@ -391,22 +385,16 @@ def compute_record(
     u, v = recover_velocity(state)
     contamination = _check_contamination(u, v, settings.tail_tolerance)
     u_x, v_x = g.deriv(u.values), g.deriv(v.values)
-    supp_m = support_measure(m, settings.eps_m)
-    supp_n = support_measure(n, settings.eps_n)
-    supp_u = support_measure(u, settings.eps_u)
-    supp_v = support_measure(v, settings.eps_v)
-    eu_p, eu_m = _moment_pair(u.values, u_x, supp_m, g)
-    ev_p, ev_m = _moment_pair(v.values, v_x, supp_n, g)
+    span_m, span_n = _span(m.values, settings.eps_m), _span(n.values, settings.eps_n)
+    eu_p, eu_m = _moment_pair(u.values, u_x, span_m, g)
+    ev_p, ev_m = _moment_pair(v.values, v_x, span_n, g)
+    supp_m = _interval(g, span_m)
     u_real = u if not u.is_complex else Field(u.grid, np.abs(u.values))
 
-    slope_left = slope_right = float("nan")
-    if supp_m is not None:
+    slopes = {"left": float("nan"), "right": float("nan")}
+    for side, edge in zip(("left", "right"), supp_m or ()):
         try:
-            slope_right = tail_slope(u_real, "right", supp_m[1])
-        except MeasurementError:
-            pass
-        try:
-            slope_left = tail_slope(u_real, "left", supp_m[0])
+            slopes[side] = tail_slope(u_real, side, edge)
         except MeasurementError:
             pass
 
@@ -423,8 +411,9 @@ def compute_record(
         P=momentum_P(m, n),
         Eu_plus=eu_p, Eu_minus=eu_m, Ev_plus=ev_p, Ev_minus=ev_m,
         E_plus=eu_p + ev_p, E_minus=eu_m + ev_m,
-        supp_m=supp_m, supp_n=supp_n, supp_u=supp_u, supp_v=supp_v,
-        tail_slope_left=slope_left, tail_slope_right=slope_right,
+        supp_m=supp_m, supp_n=_interval(g, span_n),
+        supp_u=_interval(g, _span(u.values, settings.eps_u)),
+        tail_slope_left=slopes["left"], tail_slope_right=slopes["right"],
         max_abs=max(m.max_abs(), n.max_abs()),
         boundary_contamination=contamination,
         pullback_residual=residual,

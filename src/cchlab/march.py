@@ -111,5 +111,8 @@ def check_dt(dt: float) -> None:
 
 
 def blowup_limit(factor: float, *amplitudes: np.ndarray) -> float:
-    """factor * max(1, max |a|) over the non-empty arrays ``amplitudes``."""
+    """factor * max(1, max |a|) over the non-empty arrays ``amplitudes``;
+    inf sets no limit, and a NaN or non-positive factor raises ConfigurationError."""
+    if not factor > 0.0:
+        raise ConfigurationError(f"blow-up factor must be positive, got {factor!r}")
     return factor * max([1.0] + [float(np.max(np.abs(a))) for a in amplitudes if a.size])

@@ -79,8 +79,9 @@ def test_support_measure_brackets_a_bump(grid_standard):
     assert -5.0 < lo < -4.6
     assert 4.6 < hi < 5.0
     assert support_measure(f, 2.0) is None  # threshold above the peak
-    with pytest.raises(ValueError):
-        support_measure(f, 0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            support_measure(f, bad)
 
 
 # ----------------------------------------------- window-edge contamination
@@ -141,6 +142,34 @@ def test_zero_integrals_vanish_iff_velocity_is_compact(grid_standard,
         zero_integral_check(Field(g, np.zeros(g.n_points, dtype=complex)))
 
 
+def _complex_self_conjugate_state(g):
+    mv = g.fwd_helmholtz(bump_values(g.nodes, -2.0, 8.0, 1.0)
+                         + 1j * bump_values(g.nodes, 2.0, 8.0, 0.5))
+    return PdeState(0.0, Field(g, mv), Field(g, np.conj(mv)), COMPLEX_CONJUGATE)
+
+
+def test_moments_and_noise_floor_bit_pins(grid_standard, pinned_momentum):
+    """Exact values of the moment pass and the noise floor on three inputs:
+    the pinned hump with itself, with a zero partner (empty support), and
+    the complex self-conjugate pair."""
+    g = grid_standard
+    m = pinned_momentum
+    zero = Field(g, np.zeros(g.n_points))
+    hump = (0.34532579270577407, 18.85414943815642)
+    assert exp_moments(m, m) == hump + hump
+    assert quadrature_noise_floor(m, m) == 8.573873909992181e-12
+    assert zero_integral_check(m) == hump
+    assert exp_moments(m, zero) == hump + (0.0, 0.0)
+    assert quadrature_noise_floor(m, zero) == 8.573873909992181e-12
+    assert zero_integral_check(zero) == (0.0, 0.0)
+    st = _complex_self_conjugate_state(g)
+    assert exp_moments(st.m, st.n) == (1.6783239384677375e-08, -2.2787492680746773e-08,
+                                       1.3115344607728545e-08, -1.975870895032803e-08)
+    assert quadrature_noise_floor(st.m, st.n) == 6.531710059528334e-10
+    with pytest.raises(ValueError):
+        zero_integral_check(st.m)
+
+
 def test_noise_floor_positive_and_linear_in_amplitude(grid_standard,
                                                       pinned_momentum):
     m = pinned_momentum
@@ -186,6 +215,27 @@ def test_settings_freeze_initial_scales(grid_standard):
         DEFAULT_SUPPORT_FACTOR * np.max(np.abs(g.inv_helmholtz(m.values))))
     custom = settings_from_initial(st, support_factor=1e-5)
     assert custom.eps_m == pytest.approx(1e-5 * m.max_abs())
+
+
+@pytest.mark.parametrize("name", ["eps_m", "eps_n", "eps_u", "tail_tolerance"])
+def test_settings_refuse_a_threshold_that_is_not_positive_and_finite(name):
+    # A NaN threshold would compare false everywhere: no support, zero
+    # moments and a contamination guard that lets anything through.
+    good = {"eps_m": 1e-7, "eps_n": 1e-7, "eps_u": 1e-7, "tail_tolerance": 1e-8}
+    DiagnosticsSettings(**good)
+    for bad in (0.0, -1e-7, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=name):
+            DiagnosticsSettings(**{**good, name: bad})
+
+
+def test_settings_from_initial_refuse_a_nan_factor_or_tolerance(grid_standard):
+    g = grid_standard
+    st = PdeState(0.0, Field(g, bump_values(g.nodes, -2.0, 3.0, 1.0)),
+                  Field(g, bump_values(g.nodes, 2.0, 3.0, 1.0)))
+    with pytest.raises(ValueError, match="eps_m"):
+        settings_from_initial(st, support_factor=float("nan"))
+    with pytest.raises(ValueError, match="tail_tolerance"):
+        settings_from_initial(st, tail_tolerance=float("nan"))
 
 
 # ----------------------------------------------------------- full record
@@ -243,10 +293,7 @@ def test_compute_record_refuses_a_set_without_both_initial_momenta(grid_standard
 
 
 def test_record_for_complex_self_conjugate_state(grid_standard):
-    g = grid_standard
-    mv = g.fwd_helmholtz(bump_values(g.nodes, -2.0, 8.0, 1.0)
-                         + 1j * bump_values(g.nodes, 2.0, 8.0, 0.5))
-    st = PdeState(0.0, Field(g, mv), Field(g, np.conj(mv)), COMPLEX_CONJUGATE)
+    st = _complex_self_conjugate_state(grid_standard)
     rec = compute_record(st, settings_from_initial(st))
     assert np.isfinite(rec.H)
     assert rec.H > 0.0  # 0.5 * (|u|^2 + |u_x|^2) integral

@@ -7,6 +7,7 @@ from math import exp
 import numpy as np
 import pytest
 
+from cchlab.errors import ConfigurationError
 from cchlab.march import blowup_limit, locate_event, rk4_step, rk4_step_floats, substeps
 from cchlab.peakons import _pair_rates, _rates
 
@@ -100,6 +101,15 @@ def test_blowup_limit_scales_the_largest_amplitude_with_a_floor_of_one():
     assert blowup_limit(10.0, np.array([0.5]), np.array([1j * 0.25])) == 10.0
     assert blowup_limit(2.0, np.array([]), np.array([-4.0])) == 8.0  # an empty family
     assert blowup_limit(2.0, np.array([]), np.array([])) == 2.0
+
+
+@pytest.mark.parametrize("factor", [float("nan"), 0.0, -2.0])
+def test_blowup_limit_refuses_a_factor_that_is_nan_or_not_positive(factor):
+    # A NaN limit would compare false against every amplitude and switch
+    # the guard off; inf is the one way to ask for no limit.
+    with pytest.raises(ConfigurationError, match="blow-up factor"):
+        blowup_limit(factor, np.array([1.0]))
+    assert blowup_limit(float("inf"), np.array([3.0])) == float("inf")
 
 
 def _oscillator(y: np.ndarray) -> np.ndarray:

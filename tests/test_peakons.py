@@ -198,6 +198,15 @@ def test_blowup_in_the_path_march_carries_the_partial_path():
     assert state.t == 0.0 and state.m_amp.tolist() == [10.0] and state.r.tolist() == [5.0]
 
 
+@pytest.mark.parametrize("factor", [float("nan"), 0.0])
+def test_a_nan_or_non_positive_blowup_factor_is_refused(factor):
+    ps = PeakonState(0.0, [0.0], [10.0], [5.0], [1.0])
+    with pytest.raises(ConfigurationError, match="blow-up factor"):
+        evolve_peakon_path(ps, 1.0, 1e-3, blowup_factor=factor)
+    with pytest.raises(ConfigurationError, match="blow-up factor"):
+        evolve_peakons(ps, 1.0, 1e-3, blowup_factor=factor)
+
+
 @pytest.mark.parametrize("ps, rows", [
     (PeakonState(0.0, [0.0], [2.0], [1.0], [-1.0]), 1088),
     (PeakonState(0.0, [0.0, 3.0], [2.0, 0.5], [1.0], [-1.0]), 1137),

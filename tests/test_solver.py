@@ -91,6 +91,16 @@ def test_blowup_guard_carries_last_state(small_state):
     assert len(info.value.trajectory.states) == 1  # the t = 0 snapshot
 
 
+@pytest.mark.parametrize("limit", [float("nan"), 0.0, -1.0])
+def test_a_nan_or_non_positive_blowup_limit_is_refused(small_state, limit):
+    with pytest.raises(ConfigurationError, match="blowup_threshold"):
+        step_rk4(small_state, 1e-3, blowup_threshold=limit)
+    with pytest.raises(ConfigurationError, match="blow-up factor"):
+        evolve(small_state, 0.1, 1e-3, blowup_factor=limit)
+    # No limit at all is still allowed.
+    assert step_rk4(small_state, 1e-3, blowup_threshold=float("inf")).t == 1e-3
+
+
 def test_blowup_messages_give_full_digits_and_name_a_non_finite_state(small_state,
                                                                      monkeypatch):
     with pytest.raises(BlowUpError, match=r"^momentum magnitude \S+ exceeded the blow-up "

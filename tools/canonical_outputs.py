@@ -5,10 +5,11 @@
 runs the four benchmark workloads (bump_pair_tracked, complex_reduction,
 peakon_waltz, peakon_scan) with the seed-0 configs of
 ``bench/workloads.make_inputs`` through ``python -m cchlab.cli``, importing
-cchlab from ``SRC_TREE/src``.  Each workload writes its CSVs (and the
-tracked run its ``_fields.csv``) under ``OUT_DIR/<workload>/``; the configs
-and the runs' stdout stay in a temporary directory, so that two trees can
-be compared with
+cchlab from ``SRC_TREE/src``.  Each workload runs in ``OUT_DIR/<workload>/``
+with the relative ``out`` path ``out.csv``, so it writes its CSVs (and the
+tracked run its ``_fields.csv``) there, and its stdout, the run summary, goes
+to ``stdout.txt`` beside them.  The configs stay in a temporary directory,
+so that two trees can be compared, summaries included, with
 
     diff -r --brief OUT_A OUT_B
 
@@ -39,18 +40,20 @@ def write_outputs(src_tree: str, out_dir: str) -> int:
         for name in WORKLOADS:
             target = os.path.join(os.path.abspath(out_dir), name)
             os.makedirs(target, exist_ok=True)
-            inputs = make_inputs(name, 0, os.path.join(target, "out.csv"))
+            inputs = make_inputs(name, 0, "out.csv")
             config = os.path.join(work, f"{name}.cfg")
             with open(config, "w", encoding="utf-8") as handle:
                 handle.write(inputs.config)
             verb = ["run", config] if inputs.vary is None else [
                 "sweep", config, "--vary", inputs.vary]
             done = subprocess.run([sys.executable, "-m", "cchlab.cli"] + verb, env=env,
-                                  cwd=work, capture_output=True, text=True)
+                                  cwd=target, capture_output=True, text=True)
             if done.returncode != 0:
                 print(f"{name}: exit {done.returncode}\n{done.stdout}{done.stderr}",
                       file=sys.stderr)
                 return 1
+            with open(os.path.join(target, "stdout.txt"), "w", encoding="utf-8") as handle:
+                handle.write(done.stdout)
             print(f"{name}: wrote {', '.join(sorted(os.listdir(target)))}")
     return 0
 
