@@ -68,10 +68,9 @@ The march
 ---------
 A state is marched as one flat array (q, m_amp, r, n_amp) with RK4 from
 ``cchlab.march``, the rates as matrix products over the M x N pairs.  One
-peakon per family is marched on four Python floats instead: the pair rate,
-the RK4 stages (``rk4_step_floats``) and the pair sign, bit for bit the
-array march, at about half its cost per step, which on 1x1 arrays is
-nearly all NumPy call overhead.
+peakon per family is marched in one loop over four Python floats, the RK4
+stages unrolled: bit for bit the array march, at a fraction of its cost
+per step, which on 1x1 arrays is nearly all NumPy call overhead.
 
 The kernel slope jumps at each collision q_a = r_b.  Each pair carries
 its sign s of q_a - r_b, and a step takes the slope -s K of that side.  A
@@ -82,9 +81,7 @@ The waltz measurement locates its turns with the same finder.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from math import ceil, floor, isfinite, sqrt
 
 import numpy as np
@@ -92,7 +89,7 @@ import numpy as np
 from .errors import BlowUpError, ConfigurationError, DomainTooSmallError, MeasurementError
 from .grid import Field, Grid, green_kernel_eval
 from .march import (DEFAULT_BLOWUP_FACTOR, blowup_limit, check_dt, locate_event,
-                    rk4_step, rk4_step_floats, substeps)
+                    rk4_step, substeps)
 
 __all__ = [
     "PeakonState",
@@ -176,9 +173,10 @@ def _rates(y: np.ndarray, count: int, signs: np.ndarray) -> np.ndarray:
                            kmat.T @ m_amp, n_amp * (kpmat.T @ m_amp)))
 
 
-def _pair_rates(y: Sequence[float], sign: float) -> tuple[float, float, float, float]:
-    """_rates of one peakon per family, on the Python floats (q, m, r, n)
-    with the one pair sign.
+def _pair_rates(q: float, m_amp: float, r: float, n_amp: float,
+                sign: float) -> tuple[float, float, float, float]:
+    """_rates of one peakon per family, on the Python floats q, m_amp, r,
+    n_amp with the one pair sign.
 
     A 1x1 state spends nearly all of the matrix form's time dispatching
     NumPy calls, and a pair has no sums, so this form is the matrix form bit
@@ -187,7 +185,6 @@ def _pair_rates(y: Sequence[float], sign: float) -> tuple[float, float, float, f
     product gets ``+ 0.0``, because a 1x1 matmul accumulates onto +0.0 and
     so never returns -0.0.
     """
-    q, m_amp, r, n_amp = y
     k = 0.5 * float(np.exp(-abs(q - r)))
     kp = -sign * k
     return (k * n_amp + 0.0, -m_amp * (kp * n_amp + 0.0),
@@ -281,16 +278,6 @@ def _train_step(t: float, y: np.ndarray, signs: np.ndarray, dt: float,
     return nxt, signs if signs.all() else np.where(signs == 0.0, _pair_signs(nxt, count), signs)
 
 
-def _pair_step(t: float, y: list[float], sign: float, dt: float) -> tuple[list[float], float]:
-    """_train_step on the floats (q, m, r, n) and the one pair sign, bit for
-    bit; a step that crosses, or has sign 0, is taken by _train_step."""
-    nxt = rk4_step_floats(_pair_rates, y, dt, sign)
-    if (nxt[0] - nxt[2]) * sign < 0.0 or not sign:
-        nxt, signs = _train_step(t, np.array(y), np.array([[sign]]), dt, 1)
-        return nxt.tolist(), float(signs[0, 0])
-    return nxt, sign
-
-
 def _checked_state(row: np.ndarray, count: int) -> PeakonState:
     """The path row (t, flat state) as a PeakonState of views into the row.
 
@@ -306,6 +293,61 @@ def _checked_state(row: np.ndarray, count: int) -> PeakonState:
     return ps
 
 
+def _step_fault(done: np.ndarray, count: int, t: float, values: list[float],
+                threshold: float) -> BlowUpError | None:
+    """The BlowUpError of a step to time t that ended on the flat state
+    ``values`` after the path rows ``done``, or None when every value is
+    finite and every amplitude within ``threshold``."""
+    if all(map(isfinite, values)):
+        amps = values[count:2 * count] + values[(len(values) + 2 * count) // 2:]
+        peak = max(map(abs, amps), default=0.0)
+        if peak <= threshold:
+            return None
+        message = (f"peakon amplitude {peak!r} exceeded the blow-up threshold "
+                   f"{threshold!r} at t = {t:.6g}")
+    else:
+        message = f"non-finite peakon state at t = {t:.6g}"
+    return BlowUpError(message, state=_checked_state(done[-1], count), trajectory=done)
+
+
+_BLOCK_ROWS = 1024  # rows the pair march writes into its path at once
+
+
+def _pair_path(path: np.ndarray, dt: float, sign: float, threshold: float) -> None:
+    """Fill rows 1 on of a one-pair path (t, q, m, r, n) by steps of dt from
+    row 0 under its pair sign, with evolve_peakon_path's checks:
+    _train_step bit for bit.
+
+    Each step is rk4_step unrolled over Python floats, at _pair_rates; a
+    step that crosses, or has sign 0, is taken by _train_step instead.  A
+    BlowUpError writes the rows before the failed step first.
+    """
+    t, q, m, r, n = path[0].tolist()
+    h, w = 0.5 * dt, dt / 6.0
+    for start in range(1, len(path), _BLOCK_ROWS):
+        rows = []
+        for k in range(start, min(start + _BLOCK_ROWS, len(path))):
+            a0, a1, a2, a3 = _pair_rates(q, m, r, n, sign)
+            b0, b1, b2, b3 = _pair_rates(q + h * a0, m + h * a1, r + h * a2, n + h * a3, sign)
+            c0, c1, c2, c3 = _pair_rates(q + h * b0, m + h * b1, r + h * b2, n + h * b3, sign)
+            d0, d1, d2, d3 = _pair_rates(q + dt * c0, m + dt * c1, r + dt * c2, n + dt * c3,
+                                         sign)
+            y = (q + w * (a0 + 2.0 * b0 + 2.0 * c0 + d0), m + w * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+                 r + w * (a2 + 2.0 * b2 + 2.0 * c2 + d2), n + w * (a3 + 2.0 * b3 + 2.0 * c3 + d3))
+            if (y[0] - y[2]) * sign < 0.0 or not sign:
+                nxt, signs = _train_step(t, np.array((q, m, r, n)), np.array([[sign]]), dt, 1)
+                y, sign = nxt.tolist(), float(signs[0, 0])
+            t = t + dt
+            q, m, r, n = y
+            if (not (isfinite(q) and isfinite(m) and isfinite(r) and isfinite(n))
+                    or abs(m) > threshold or abs(n) > threshold):
+                if rows:
+                    path[start:k] = rows
+                raise _step_fault(path[:k], 1, t, [q, m, r, n], threshold)
+            rows.append((t, q, m, r, n))
+        path[start:k + 1] = rows
+
+
 def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
                        blowup_factor: float = DEFAULT_BLOWUP_FACTOR) -> np.ndarray:
     """Fixed-step RK4 march into one path array, one row per sample.
@@ -313,23 +355,22 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
     Row k is (t, q..., m_amp..., r..., n_amp...) after k steps, row 0 the
     start, so the path has shape (steps + 1, 1 + 2M + 2N).  The steps are
     the ``march.substeps`` of t_end - t, landing on t_end exactly.  The
-    march holds the state as one flat array (_train_step), or as a list of
-    four Python floats when there is one peakon per family (_pair_step, the
-    same path bit for bit), and carries each step's pair signs into the
-    next, cut at collisions, so the path keeps fourth order through
-    amplitude exchanges.  After each full step, and only there, the stepped
-    values are checked: a non-finite value, or an amplitude beyond
-    blowup_factor * max(1, initial amplitude scale), raises BlowUpError
-    whose ``trajectory`` is the path up to the step before and whose
-    ``state`` is that path's last row as a PeakonState.  A path too long to
-    allocate raises ConfigurationError naming its sample count.
+    march holds the state as one flat array (_train_step) and carries each
+    step's pair signs into the next, cut at collisions, so the path keeps
+    fourth order through amplitude exchanges.  One peakon per family is
+    marched by _pair_path, the same path bit for bit, on four Python floats.
+    After each full step, and only there, the stepped values are checked: a
+    non-finite value, or an amplitude beyond blowup_factor * max(1, initial
+    amplitude scale), raises BlowUpError whose ``trajectory`` is the path up
+    to the step before and whose ``state`` is that path's last row as a
+    PeakonState.  A t_end before the start time, or NaN, and a path too long
+    to allocate raise ConfigurationError.
     """
     check_dt(dt)
-    if t_end < ps.t:
+    if not t_end >= ps.t:  # NaN included
         raise ConfigurationError(f"t_end must be >= start time {ps.t}, got {t_end}")
     threshold = blowup_limit(blowup_factor, ps.m_amp, ps.n_amp)
     count = ps.q.size
-    n_start = 2 * count + ps.r.size
     t, y = ps.t, _flat(ps)
     try:
         n_steps, dt_eff = substeps(t_end - ps.t, dt) if t_end > ps.t else (0, 0.0)
@@ -341,25 +382,16 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
     path[0, 0], path[0, 1:] = t, y
     signs = _start_signs(y, count)
     if y.size == 4 and count == 1:
-        step, y, signs = _pair_step, y.tolist(), float(signs[0, 0])
+        _pair_path(path, dt_eff, float(signs[0, 0]), threshold)
     else:
-        step = partial(_train_step, count=count)
-    for k in range(n_steps):
-        y, signs = step(t, y, signs, dt_eff)
-        t = t + dt_eff
-        values = y if isinstance(y, list) else y.tolist()
-        if not all(map(isfinite, values)):
-            raise BlowUpError(f"non-finite peakon state at t = {t:.6g}",
-                              state=_checked_state(path[k], count), trajectory=path[:k + 1])
-        # abs >= 0 and NaN is out: the 0.0 stands in for default=0.0, cheaper.
-        peak = max(map(abs, values[count:2 * count] + values[n_start:] + [0.0]))
-        if peak > threshold:
-            raise BlowUpError(
-                f"peakon amplitude {peak!r} exceeded the blow-up threshold "
-                f"{threshold!r} at t = {t:.6g}",
-                state=_checked_state(path[k], count), trajectory=path[:k + 1],
-            )
-        path[k + 1] = [float(t_end) if k == n_steps - 1 else t] + values
+        for k in range(n_steps):
+            y, signs = _train_step(t, y, signs, dt_eff, count)
+            t = t + dt_eff
+            if (fault := _step_fault(path[:k + 1], count, t, y.tolist(), threshold)) is not None:
+                raise fault
+            path[k + 1, 0], path[k + 1, 1:] = t, y
+    if n_steps:
+        path[-1, 0] = float(t_end)
     return path
 
 

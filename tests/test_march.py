@@ -1,4 +1,4 @@
-"""The shared RK4 step, on arrays and on floats, and the landing rule."""
+"""The shared RK4 step, its event finder and the landing rule."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from cchlab.errors import ConfigurationError
-from cchlab.march import blowup_limit, locate_event, rk4_step, rk4_step_floats, substeps
-from cchlab.peakons import _pair_rates, _rates
+from cchlab.march import blowup_limit, locate_event, rk4_step, substeps
 
 
 def test_rk4_step_calls_rate_four_times_at_the_stage_points():
@@ -29,45 +28,6 @@ def test_rk4_step_calls_rate_four_times_at_the_stage_points():
     assert len(calls) == 4
     for got, want in zip(calls, (y0, y0 + 0.5 * dt * k1, y0 + 0.5 * dt * k2, y0 + dt * k3)):
         np.testing.assert_array_equal(got, want)
-
-
-def test_rk4_step_floats_calls_rate_four_times_at_the_stage_points():
-    calls = []
-    coef = (1.0, -2.0, 0.5, 3.0)
-
-    def rate(y):
-        calls.append(list(y))
-        return [c * (len(calls) + a) for c, a in zip(coef, y)]
-
-    y0, dt = np.array([0.5, 2.0, -1.0, 0.25]), 0.1
-    k1 = np.array(coef) * (1 + y0)
-    k2 = np.array(coef) * (2 + y0 + 0.5 * dt * k1)
-    k3 = np.array(coef) * (3 + y0 + 0.5 * dt * k2)
-    rk4_step_floats(rate, y0.tolist(), dt)
-    assert len(calls) == 4
-    for got, want in zip(calls, (y0, y0 + 0.5 * dt * k1, y0 + 0.5 * dt * k2, y0 + dt * k3)):
-        assert got == want.tolist()
-
-
-_PERM, _COEF = [2, 0, 3, 1], np.array([0.7, -1.3, 2.1, -0.4])
-
-
-@pytest.mark.parametrize("array_rate, float_rate", [
-    (lambda y, sign: _COEF * y[_PERM],
-     lambda y, sign: [c * y[p] for c, p in zip(_COEF.tolist(), _PERM)]),
-    (lambda y, sign: _rates(y, 1, np.array([[sign]])), _pair_rates),
-], ids=["linear", "pair"])
-def test_rk4_step_floats_is_rk4_step_bit_for_bit(array_rate, float_rate):
-    # The pair rate takes the carried pair sign, here that of the start
-    # (0 at an exact collision), through rk4_step_floats' extra arguments.
-    rng = np.random.default_rng(11)
-    states = rng.normal(size=(2000, 4)) * 10.0 ** rng.integers(-3, 3, size=(2000, 4))
-    states[::4, 2] = states[::4, 0]  # exact collisions for the pair rate
-    for y, dt in zip(states, 10.0 ** rng.uniform(-5, 0, size=len(states))):
-        sign = float(np.sign(y[0] - y[2]))
-        want = rk4_step(lambda z: array_rate(z, sign), y, dt)
-        got = rk4_step_floats(float_rate, y.tolist(), float(dt), sign)
-        assert np.array(got).tobytes() == want.tobytes(), (y, dt)
 
 
 @pytest.mark.parametrize("dt", [0.4, 0.2, 0.1, 0.05])

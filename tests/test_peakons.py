@@ -88,11 +88,27 @@ def test_pair_rates_are_the_matrix_rates_bit_for_bit():
     mismatches = []
     with np.errstate(all="ignore"):  # the matrix form warns on inf and NaN
         for y, sign in zip(states, signs.tolist()):
-            got = np.array(peakons_module._pair_rates(y.tolist(), sign))
+            got = np.array(peakons_module._pair_rates(*y.tolist(), sign))
             want = peakons_module._rates(y, 1, np.array([[sign]]))
             if not np.array_equal(got.view(np.int64), want.view(np.int64)):
                 mismatches.append((y, got, want))
     assert not mismatches, mismatches[:3]
+
+
+def test_pair_step_is_the_array_step_bit_for_bit():
+    # One step of the float pair march, from random states over six decades
+    # with exact collisions (q = r) mixed in, is one _train_step of the flat
+    # state under its start signs, bit for bit.
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(1000, 4)) * 10.0 ** rng.integers(-3, 3, size=(1000, 4))
+    states[::4, 2] = states[::4, 0]
+    path = np.zeros((2, 5))
+    for y, dt in zip(states, (10.0 ** rng.uniform(-5, 0, size=len(states))).tolist()):
+        signs = peakons_module._start_signs(y, 1)
+        path[0, 1:] = y
+        peakons_module._pair_path(path, dt, float(signs[0, 0]), np.inf)
+        want, _ = peakons_module._train_step(0.0, y, signs, dt, 1)
+        assert path[1, 1:].tobytes() == want.tobytes(), (y, dt)
 
 
 # --------------------------------------------------------------- validation
@@ -141,6 +157,9 @@ def test_evolve_validation_and_blowup_guard():
     with pytest.raises(ConfigurationError):
         evolve_peakons(ps, -1.0, 1e-3)
     assert evolve_peakons(ps, 0.0, 1e-3) == [ps]
+    for march in (evolve_peakon_path, evolve_peakons):  # NaN is not >= the start
+        with pytest.raises(ConfigurationError, match="t_end must be >= start time 0.0, got nan"):
+            march(ps, float("nan"), 1e-3)
     with pytest.raises(BlowUpError) as info:
         evolve_peakons(ps, 1.0, 1e-3, blowup_factor=0.01)
     assert info.value.trajectory == [ps]
@@ -290,10 +309,10 @@ def test_train_march_matches_the_canonical_equations():
 def test_collision_step_is_subdivided():
     # q - r = 0.02 closes at ~4.5 per unit time, so the pair crosses at
     # t ~ 0.0044, inside the first coarse step.  Cut at the located
-    # collision, the coarse march stays within 4.2e-8 of a fine one (1.9e-10
-    # after the crossing step; the rest is RK4's own error at dt = 0.01).
-    # A plain RK4 march through the kink, signs taken per stage, is 4.0e-2
-    # off.
+    # collision, the coarse march stays within 4.4e-8 of a fine one (2.5e-9
+    # after the crossing step, gated on its own; the rest is RK4's own error
+    # at dt = 0.01).  A plain RK4 march through the kink, signs taken per
+    # stage, is 4.0e-2 off.
     ps = PeakonState(0.0, [0.0], [10.0], [-0.02], [1.0])
     fine = evolve_peakons(ps, 0.1, 1e-5)
 
@@ -303,7 +322,9 @@ def test_collision_step_is_subdivided():
                                                 c.r - f.r, c.n_amp - f.n_amp)))))
             for c, f in zip(coarse, fine[::1000]))
 
-    assert max_error(evolve_peakons(ps, 0.1, 1e-2)) < 1e-7
+    coarse = evolve_peakons(ps, 0.1, 1e-2)
+    assert max_error(coarse[:2]) < 1e-8  # the crossing step, to t = 0.01
+    assert max_error(coarse) < 1e-7
     plain = [PeakonState(0.0, *y) for y in _oracle_march(ps, 10, 1e-2)]
     assert max_error(plain) > 1e-2
 
@@ -341,6 +362,26 @@ def test_one_step_across_two_collisions_locates_both(monkeypatch):
 WALTZ = PeakonState(0.0, [0.0], [10.0], [1.0], [1.0])
 # Collides repeatedly: 7 collisions are located on the way to t = 5 at dt = 1e-3.
 TRAIN_3X2 = PeakonState(0.0, [-1.0, 0.0, 1.0], [1.0, 2.0, 1.0], [-0.5, 0.5], [1.0, 1.5])
+
+
+@pytest.mark.parametrize("ps, rising", [
+    (WALTZ, True), (PeakonState(0.0, [0.0], [2.0], [1.0], [-1.0]), False),
+], ids=["waltz", "opposite-signs"])
+def test_exp_moments_move_at_their_exact_rates(ps, rising):
+    # E_+- = sum m_a e^{+-q_a} + sum n_b e^{+-r_b} change at dE_+/dt =
+    # sum m_a n_b e^{min(q_a, r_b)} and dE_-/dt = -sum m_a n_b e^{-max(q_a, r_b)}:
+    # with m and n of one sign E_+ rises and E_- falls, with opposite signs
+    # the reverse.  Neither pair collides before t = 3.  The five-point
+    # difference along the path reads the rates to 7.0e-12 to 1.5e-11 relative.
+    _, dt = substeps(3.0, 1e-4)
+    _, q, m, r, n = evolve_peakon_path(ps, 3.0, 1e-4).T
+    for side in (1.0, -1.0):
+        moment = m * np.exp(side * q) + n * np.exp(side * r)
+        rate = (moment[:-4] - 8.0 * moment[1:-3] + 8.0 * moment[3:-1] - moment[4:]) / (12.0 * dt)
+        mid = slice(2, -2)
+        exact = side * m[mid] * n[mid] * np.exp(np.minimum(side * q[mid], side * r[mid]))
+        assert np.max(np.abs(rate - exact) / np.abs(exact)) < 1e-10, side
+        assert np.all(np.diff(moment) * side * (1.0 if rising else -1.0) > 0.0), side
 
 
 @pytest.mark.parametrize("ps, t_end", [(WALTZ, 6.0), (TRAIN_3X2, 5.0)])

@@ -14,7 +14,10 @@ so that two trees can be compared, summaries included, with
     diff -r --brief OUT_A OUT_B
 
 The configs are used as they are; only their ``out`` path is chosen here.
-Exits 1 if a run fails or the tree holds no cchlab sources.
+OUT_DIR must be new or empty: a file left there by an earlier run would
+survive and hide a file that this tree no longer writes.  Exits 1 if
+OUT_DIR is anything but a missing or empty directory, a run fails or the
+tree holds no cchlab sources.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ def write_outputs(src_tree: str, out_dir: str) -> int:
     src = os.path.join(os.path.abspath(src_tree), "src")
     if not os.path.isfile(os.path.join(src, "cchlab", "__init__.py")):
         print(f"no cchlab sources under {src}", file=sys.stderr)
+        return 1
+    if os.path.exists(out_dir) and (not os.path.isdir(out_dir) or os.listdir(out_dir)):
+        print(f"{out_dir} exists and is not an empty directory", file=sys.stderr)
         return 1
     env = dict(os.environ, PYTHONPATH=src, CCCH_THREADS="1")
     with tempfile.TemporaryDirectory() as work:
