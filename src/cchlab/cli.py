@@ -22,7 +22,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import _KEY_TYPES, ScenarioConfig, parse_config
+from .config import _KEY_TYPES, ScenarioConfig, _check_keys_apply, parse_config
 from .errors import ConfigurationError
 from .runner import check_outputs, execute, run_scenario
 
@@ -88,6 +88,7 @@ def _vary_config(base: ScenarioConfig, key: str, value: float) -> ScenarioConfig
     if key == "out":
         raise ConfigurationError("--vary key 'out' cannot be varied: each point "
                                  "names its own output after the varied value")
+    _check_keys_apply(base.kind, [key])  # a value at its default is still a foreign key
     root, ext = os.path.splitext(base.out)
     out = f"{root}_{key}{value:g}{ext or '.csv'}"
     if kind == "int" and value.is_integer():

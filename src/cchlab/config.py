@@ -163,6 +163,8 @@ _PEAKON_ONLY = ("q", "m_amps", "r", "n_amps")
 # Keys every kind uses; each other key is peakon-only or field-only.
 _SHARED = ("kind", "out", "t_end", "dt", "blowup_threshold")
 _FIELD_ONLY = set(_KEY_TYPES).difference(_PEAKON_ONLY, _SHARED)
+# Keys that one kind alone uses, and every other kind refuses.
+_KIND_ONLY = {"peakon": _PEAKON_ONLY, "characteristics": ("label_stride",)}
 
 # Defaults that differ by kind, filled in by parse_config.
 _KIND_DEFAULTS = {"peakon": {"t_end": 20.0}, "complex": {"mode": "complex_conjugate"}}
@@ -177,15 +179,20 @@ def _key_error(key: str, message: str) -> ConfigurationError:
     return err
 
 
+def _foreign_keys(kind: str) -> dict[str, str]:
+    """Each key that ``kind`` does not use, with the message that refuses it."""
+    if kind == "peakon":
+        return dict.fromkeys(_FIELD_ONLY, "does not apply to kind=peakon")
+    return {key: f"applies only to kind={owner}"
+            for owner, keys in _KIND_ONLY.items() if owner != kind for key in keys}
+
+
 def _check_keys_apply(kind: str, keys) -> None:
     """Reject the first (alphabetically) of ``keys`` that ``kind`` does not use."""
-    if kind == "peakon":
-        foreign, message = _FIELD_ONLY, "does not apply to kind=peakon"
-    else:
-        foreign, message = _PEAKON_ONLY, "applies only to kind=peakon"
+    foreign = _foreign_keys(kind)
     bad = sorted(set(keys).intersection(foreign))
     if bad:
-        raise _key_error(bad[0], message)
+        raise _key_error(bad[0], foreign[bad[0]])
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -246,8 +253,6 @@ def parse_config(text: str) -> ScenarioConfig:
 def output_times(cfg: ScenarioConfig) -> list[float]:
     """Times at which a field scenario records: 0, every output_every, and
     t_end.  A list too long to allocate raises ConfigurationError naming its count."""
-    if cfg.t_end <= 0.0:
-        return [0.0]
     try:
         times = np.arange(0.0, cfg.t_end + 1e-12, cfg.output_every).tolist()
     except (MemoryError, OverflowError, ValueError):  # too many, or infinitely many, times
@@ -264,7 +269,7 @@ def serialize_config(cfg: ScenarioConfig) -> str:
     """Emit a document that parse_config maps back to an equal config."""
     # Keys that do not apply to the scenario kind are dropped: the parser
     # rejects them, and they necessarily hold their defaults anyway.
-    skip = _FIELD_ONLY if cfg.kind == "peakon" else _PEAKON_ONLY
+    skip = _foreign_keys(cfg.kind)
     lines = []
     for f in dataclass_fields(ScenarioConfig):
         value = getattr(cfg, f.name)

@@ -73,11 +73,11 @@ def locate_event(march: Callable, event: Callable, t0: float, y0, t1: float, y1)
 
 
 def substeps(span: float, dt: float) -> tuple[int, float]:
-    """(count, size) of the fewest equal steps of size <= dt that cover span,
-    at least one; a span over a whole number of dt by at most 1e-9 dt, the
-    round-off of output times, gains no extra step."""
-    count = max(1, ceil(span / dt - 1e-9))
-    return count, span / count
+    """(count, size) of the fewest equal steps of size <= dt that cover span;
+    a span over a whole number of dt by at most 1e-9 dt, the round-off of
+    output times, gains no extra step, so one within it of zero or below takes none: (0, 0.0)."""
+    count = ceil(span / dt - 1e-9)
+    return (count, span / count) if count > 0 else (0, 0.0)
 
 
 def check_dt(dt: float) -> None:

@@ -354,17 +354,18 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
 
     Row k is (t, q..., m_amp..., r..., n_amp...) after k steps, row 0 the
     start, so the path has shape (steps + 1, 1 + 2M + 2N).  The steps are
-    the ``march.substeps`` of t_end - t, landing on t_end exactly.  The
-    march holds the state as one flat array (_train_step) and carries each
-    step's pair signs into the next, cut at collisions, so the path keeps
-    fourth order through amplitude exchanges.  One peakon per family is
-    marched by _pair_path, the same path bit for bit, on four Python floats.
-    After each full step, and only there, the stepped values are checked: a
-    non-finite value, or an amplitude beyond blowup_factor * max(1, initial
-    amplitude scale), raises BlowUpError whose ``trajectory`` is the path up
-    to the step before and whose ``state`` is that path's last row as a
-    PeakonState.  A t_end before the start time, or NaN, and a path too long
-    to allocate raise ConfigurationError.
+    the ``march.substeps`` of t_end - t (none within round-off of zero), and
+    the last row's time is t_end exactly.  The march holds the state as one
+    flat array (_train_step) and carries each step's pair signs into the
+    next, cut at collisions, so the path keeps fourth order through
+    amplitude exchanges.  One peakon per family is marched by _pair_path,
+    the same path bit for bit, on four Python floats.  After each full step,
+    and only there, the stepped values are checked: a non-finite value, or
+    an amplitude beyond blowup_factor * max(1, initial amplitude scale),
+    raises BlowUpError whose ``trajectory`` is the path up to the step
+    before and whose ``state`` is that path's last row as a PeakonState.  A
+    t_end before the start time, or NaN, and a path too long to allocate
+    raise ConfigurationError.
     """
     check_dt(dt)
     if not t_end >= ps.t:  # NaN included
@@ -373,7 +374,7 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
     count = ps.q.size
     t, y = ps.t, _flat(ps)
     try:
-        n_steps, dt_eff = substeps(t_end - ps.t, dt) if t_end > ps.t else (0, 0.0)
+        n_steps, dt_eff = substeps(t_end - ps.t, dt)
         path = np.empty((n_steps + 1, 1 + y.size))
     except (MemoryError, OverflowError, ValueError):  # too many, or infinitely many, rows
         raise ConfigurationError(
@@ -390,8 +391,7 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
             if (fault := _step_fault(path[:k + 1], count, t, y.tolist(), threshold)) is not None:
                 raise fault
             path[k + 1, 0], path[k + 1, 1:] = t, y
-    if n_steps:
-        path[-1, 0] = float(t_end)
+    path[-1, 0] = float(t_end)
     return path
 
 

@@ -233,8 +233,6 @@ def execute(cfg: ScenarioConfig) -> RunResult:
         return _run_field_scenario(cfg)
     except ConfigurationError as err:
         return RunResult(1, [f"CONFIG ERROR: {err}"])
-    except MeasurementError as err:
-        return RunResult(3, [f"MEASUREMENT INVALID: {err}"])
 
 
 def run_scenario(cfg: ScenarioConfig) -> int:

@@ -314,12 +314,12 @@ def evolve(
 ) -> Trajectory:
     """Fixed-step RK4 march with snapshots at the requested output times.
 
-    Each inter-output interval is cut into its ``march.substeps``, equal
-    steps no longer than dt, so snapshots land exactly on the requested
-    times.  When ``track`` is given (real data only), its flows are
-    advanced inside the same RK4 stages as the momenta, and a set built from
-    them accompanies every state snapshot.  ``callback`` is invoked as
-    callback(state, characteristics) at every snapshot.
+    Each interval up to an output time, the first from the start, is cut into
+    its ``march.substeps`` (none within round-off of zero), so snapshots land
+    exactly on the requested times.  When ``track`` is given (real data
+    only), its flows are advanced inside the same RK4 stages as the momenta,
+    and a set built from them accompanies every state snapshot.  ``callback``
+    is invoked as callback(state, characteristics) at every snapshot.
 
     The blow-up threshold is frozen from the initial data as
     blowup_factor * max(1, max|m0|, max|n0|); exceeding it raises
@@ -352,11 +352,7 @@ def evolve(
     spec = core.sp.forward(rows)
     t_rows = state.t
     try:
-        next_idx = 0
-        if abs(times[0] - state.t) <= 1e-12:
-            emit(state)
-            next_idx = 1
-        for target in times[next_idx:]:
+        for target in times:
             n_sub, dt_eff = substeps(target - t_rows, dt)
             t_start = t_rows
             for k in range(1, n_sub + 1):
@@ -399,12 +395,9 @@ def evolve_real_form(
 
     out: list[tuple[float, Field, Field]] = []
     y = np.array((mu_re.values, mu_im.values))
-    t_cursor = 0.0
-    for target in times:
-        if out or abs(target) > 1e-12:  # a first output at t = 0 takes no step
-            n_sub, dt_eff = substeps(target - t_cursor, dt)
-            for _ in range(n_sub):
-                y = rk4_step(lambda mu: _conjugate_pair_rate(g, mu), y, dt_eff)
-            t_cursor = target
-        out.append((t_cursor, Field(g, y[0]), Field(g, y[1])))
+    for start, target in zip([0.0] + times, times):
+        n_sub, dt_eff = substeps(target - start, dt)
+        for _ in range(n_sub):
+            y = rk4_step(lambda mu: _conjugate_pair_rate(g, mu), y, dt_eff)
+        out.append((target, Field(g, y[0]), Field(g, y[1])))
     return out

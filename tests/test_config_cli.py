@@ -22,15 +22,17 @@ from hypothesis import strategies as st
 
 import cchlab
 from cchlab import config as config_module
+from cchlab import solver
 from cchlab.characteristics import init_characteristics
 from cchlab.cli import main
 from cchlab.config import (PDE_MODES, ScenarioConfig, build_grid,
-                           build_initial_condition, parse_config,
+                           build_initial_condition, output_times, parse_config,
                            parse_float_list, serialize_config)
 from cchlab.diagnostics import CSV_COLUMNS, settings_from_initial
 from cchlab.errors import BlowUpError, ConfigurationError
 from cchlab.grid import make_grid
-from cchlab.peakons import PeakonState, evolve_peakons, peakon_hamiltonian
+from cchlab.peakons import (PeakonState, evolve_peakons, peakon_hamiltonian,
+                            waltz_period_closed_form)
 from cchlab.runner import _CSV_BLOCK_ROWS, _write_csv, execute
 
 from conftest import bump_values
@@ -86,12 +88,19 @@ def test_key_sets_split_every_key():
                           "tail_tolerance", "snapshot_times", "label_stride"}
     assert not (peakon_only & field_only or peakon_only & shared or field_only & shared)
     assert peakon_only | field_only | shared == set(config_module._KEY_TYPES)
+    characteristics_only = set(config_module._KIND_ONLY["characteristics"])
+    assert characteristics_only == {"label_stride"} and characteristics_only <= field_only
     for key in field_only:
         with pytest.raises(ConfigurationError, match=f"'{key}' does not apply to kind=peakon"):
             parse_config(f"kind=peakon q=0 m_amps=10 r=5 n_amps=1\n{key} = 1\n")
     for key in peakon_only:
         with pytest.raises(ConfigurationError, match=f"'{key}' applies only to kind=peakon"):
             parse_config(f"{PDE_TEXT}{key} = 1\n")
+    for key in characteristics_only:
+        with pytest.raises(ConfigurationError,
+                           match=f"'{key}' applies only to kind=characteristics"):
+            parse_config(f"{PDE_TEXT}{key} = 1\n")
+        parse_config(f"kind = characteristics\nm0 = bump(-2, 3, 1)\n{key} = 1\n")
 
 
 def test_comments_blank_lines_and_spaced_values():
@@ -142,7 +151,7 @@ _REJECTIONS = [
     ("kind = pde\nm0 = bump(0, 3, 1)\nt_end = -1\n", "must be >= 0.0"),
     ("kind = pde\nm0 = bump(0, 3, 1)\nn_points = 1000\n", "power of two"),
     ("kind = pde\nm0 = bump(0, 3, 1)\nn_points = 8\n", "power of two"),
-    ("kind = pde\nm0 = bump(0, 3, 1)\nlabel_stride = 0\n", "must be >= 1"),
+    ("kind = characteristics\nm0 = bump(0, 3, 1)\nlabel_stride = 0\n", "must be >= 1"),
     ("kind = pde\nm0 = blob(0, 3, 1)\n", "unknown shape 'blob'"),
     ("kind = pde\nm0 = bump(0, 3)\n", "takes 3 arguments"),
     ("kind = pde\nm0 = bump(a, 3, 1)\n", "non-numeric arguments"),
@@ -212,6 +221,33 @@ def test_value_rejections_hold_for_replace(text, fragment):
     assert re.search(r"'(\w+)'", str(built.value)).group(1) in pairs | unset
 
 
+@pytest.mark.parametrize("text", [PDE_TEXT, "kind = complex\nu0 = bump(0, 8, 1)\n"],
+                         ids=["pde", "complex"])
+def test_label_stride_applies_only_to_characteristics(tmp_path, monkeypatch, capsys, text):
+    refusal = "key 'label_stride' applies only to kind=characteristics"
+    line = text.count("\n") + 1
+    for value in (8, 4):  # 4 is the default: written, it is still refused
+        with pytest.raises(ConfigurationError) as info:
+            parse_config(f"{text}label_stride = {value}\n")
+        assert str(info.value) == f"line {line}: {refusal}"
+    base = parse_config(text)
+    with pytest.raises(ConfigurationError, match=f"^{refusal}$"):
+        replace(base, label_stride=8)
+    with pytest.raises(ConfigurationError, match=f"^{refusal}$"):
+        ScenarioConfig(**{f.name: getattr(base, f.name) for f in dataclass_fields(base)
+                          if f.name != "label_stride"}, label_stride=2)
+    monkeypatch.setenv("CCCH_THREADS", "1")
+    path = write_cfg(tmp_path, text + "t_end = 0.01\nout = s.csv\n")
+    for spec in ("label_stride=4:4:1", "label_stride=2:8:2"):
+        assert main(["sweep", path, "--vary", spec]) == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+    chars_path = write_cfg(tmp_path, "kind = characteristics\nm0 = bump(-2, 3, 1)\n"
+                                     "t_end = 0.01\nout = c.csv\n", "chars.cfg")
+    assert main(["sweep", chars_path, "--vary", "label_stride=4:0:2"]) == 1  # 0 is last
+    assert capsys.readouterr().err == "error: key 'label_stride' must be >= 1\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_complex_kind_forces_conjugate_mode():
     cfg = parse_config("kind = complex\nu0 = bump(0, 8, 1)\nu0_im = bump(1, 8, 0.5)\n")
     assert cfg.mode == "complex_conjugate"
@@ -243,6 +279,28 @@ def test_velocity_target_goes_through_helmholtz():
     assert np.allclose(m0.values,
                        g.fwd_helmholtz(bump_values(g.nodes, 0.0, 4.0, 1.0)),
                        rtol=0, atol=1e-14)
+
+
+def test_velocity_target_of_the_n_side_goes_through_helmholtz():
+    cfg = parse_config("kind = pde\nm0 = bump(-2, 3, 1)\nv0 = bump(1, 4, 0.5)\n")
+    g = build_grid(cfg)
+    _, n0 = build_initial_condition(cfg, g)
+    assert np.array_equal(n0.values, g.fwd_helmholtz(bump_values(g.nodes, 1.0, 4.0, 0.5)))
+
+
+@pytest.mark.parametrize("expr, signs", [
+    ("-bump(0, 3, 1)", (-1.0,)), ("+bump(0, 3, 1)", (1.0,)),
+    ("- bump(0, 3, 1) - bump(2, 3, 0.5)", (-1.0, -1.0)),
+])
+def test_a_leading_sign_applies_to_the_first_shape(expr, signs):
+    cfg = parse_config(f"kind = pde\nm0 = {expr}\n")
+    g = build_grid(cfg)
+    m0, _ = build_initial_condition(cfg, g)
+    shapes = (bump_values(g.nodes, 0.0, 3.0, 1.0), bump_values(g.nodes, 2.0, 3.0, 0.5))
+    expected = np.zeros(g.n_points)
+    for sign, shape in zip(signs, shapes):
+        expected += sign * shape
+    assert np.array_equal(m0.values, expected)
 
 
 def test_reduction_copies_the_m_side():
@@ -300,7 +358,6 @@ def pde_configs(draw):
         epsilon_support=draw(st.floats(1e-12, 1e-3)),
         tail_tolerance=draw(st.floats(1e-12, 1e-3)),
         blowup_threshold=draw(st.floats(1.0, 1e9)),
-        label_stride=draw(st.integers(1, 8)),
     )
 
 
@@ -384,6 +441,28 @@ def test_complex_kind_runs_clean(tmp_path):
     assert len(rows) == 2
 
 
+def test_complex_kind_dumps_real_and_imaginary_fields(tmp_path):
+    text = ("kind = complex\nu0 = bump(-2, 8, 1)\nu0_im = bump(2, 8, 0.5)\n"
+            "t_end = 0.02\noutput_every = 0.01\nsnapshot_times = 0.02\nout = cplx.csv\n")
+    assert main(["run", write_cfg(tmp_path, text)]) == 0
+    header, rows = read_rows(tmp_path / "cplx_fields.csv")
+    assert header == ["t", "x", "u_re", "u_im", "v_re", "v_im", "m_re", "m_im",
+                      "n_re", "n_im"]
+    cfg = parse_config(text)
+    g = build_grid(cfg)
+    state = solver.evolve(solver.PdeState(0.0, *build_initial_condition(cfg, g), cfg.mode),
+                          cfg.t_end, cfg.dt, output_times(cfg)).states[-1]
+    u, v = solver.recover_velocity(state)
+    table = np.array(rows, dtype=float)
+    assert len(rows) == 2048 and np.all(table[:, 0] == 0.02)
+    assert np.array_equal(table[:, 1], g.nodes)
+    for k, f in enumerate((u, v, state.m, state.n)):
+        assert np.array_equal(table[:, 2 + 2 * k], f.values.real)
+        assert np.array_equal(table[:, 3 + 2 * k], f.values.imag)
+    assert np.max(np.abs(table[:, 7])) > 0.0  # the imaginary momentum is written
+    assert np.array_equal(table[:, 8], table[:, 6]) and np.array_equal(table[:, 9], -table[:, 7])
+
+
 def test_peakons_verb(tmp_path, capsys):
     assert main(["peakons", "--t-end", "0.5", "--out", "pk.csv"]) == 0
     out = capsys.readouterr().out
@@ -396,6 +475,17 @@ def test_peakons_verb(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["peakons", "--dt"])  # argparse rejects a missing value
     assert main(["peakons", "--dt", "0"]) == 1
+
+
+def test_a_full_orbit_prints_the_measured_waltz_period(tmp_path, capsys):
+    argv = ["peakons", "--m1", "10", "--n1", "1", "--q0", "0", "--r0", "1", "--t-end", "13",
+            "--out", "waltz.csv"]
+    assert main(argv) == 0
+    period, swap_error = (float(v) for v in re.search(
+        r"^waltz period: (\S+)   swap error: (\S+)$", capsys.readouterr().out, re.M).groups())
+    # Printed to 6 digits: 11.2096 against the closed form 11.20959956...
+    assert period == pytest.approx(waltz_period_closed_form(10.0, 1.0, 1.0), abs=5e-5)
+    assert swap_error < 1e-10
 
 
 def test_sweep_fans_out_one_file_per_value(tmp_path, monkeypatch, capsys):
@@ -481,6 +571,16 @@ def test_sweep_rejects_points_that_share_an_output_file(tmp_path, monkeypatch, c
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_sweep_of_one_point_and_of_none(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CCCH_THREADS", "1")
+    path = write_cfg(tmp_path, _PEAKON_SWEEP)
+    assert main(["sweep", path, "--vary", "r=4:5:1"]) == 0  # one point: the start
+    assert "--- r = 4  (status 0, out sw_r4.csv)" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == ["sw_r4.csv"]
+    assert main(["sweep", path, "--vary", "r=4:5:0"]) == 1
+    assert capsys.readouterr().err == "error: --vary count must be >= 1, got 0\n"
+
+
 def test_sweep_takes_integer_keys_as_integers(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("CCCH_THREADS", "1")
     path = write_cfg(tmp_path, (
@@ -511,6 +611,25 @@ def test_blowup_exits_2_with_partial_output(tmp_path, capsys):
         r"BLOW-UP: peakon amplitude (\S+) exceeded the blow-up threshold (\S+) at t = 1.088\n",
         out).groups())
     assert threshold == 2.4 and peak > threshold
+
+
+_FIELD_BLOWUP = ("kind = pde\nn_points = 1024\nm0 = bump(-1, 3, 5)\nn0 = bump(1, 3, 5)\n"
+                 "blowup_threshold = 1.2\nt_end = 1\noutput_every = 0.05\n")
+
+
+def test_field_blowup_exits_2_with_partial_output(tmp_path, capsys):
+    # The colliding bumps steepen until |m| passes 1.2 max|m0| at t = 0.169.
+    assert main(["run", write_cfg(tmp_path, _FIELD_BLOWUP + "out = boom.csv\n")]) == 2
+    out = capsys.readouterr().out
+    peak, threshold = (float(v) for v in re.search(
+        r"^BLOW-UP: momentum magnitude (\S+) exceeded the blow-up threshold (\S+) "
+        r"at t = 0.169$", out, re.M).groups())
+    g = make_grid(30.0, 1024)
+    assert threshold == 1.2 * float(np.max(bump_values(g.nodes, -1.0, 3.0, 5.0)))
+    assert peak > threshold
+    assert "snapshots: 4   (CSV: boom.csv)" in out
+    _, rows = read_rows(tmp_path / "boom.csv")
+    assert [float(row[0]) for row in rows] == output_times(parse_config(_FIELD_BLOWUP))[:4]
 
 
 def test_a_blowup_threshold_below_1_is_refused(tmp_path, capsys):

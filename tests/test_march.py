@@ -47,7 +47,18 @@ def test_substeps_cover_the_span_without_exceeding_dt(span, dt):
 
 def test_substeps_take_one_step_below_dt():
     assert substeps(0.25, 1.0) == (1, 0.25)
-    assert substeps(0.0, 1.0) == (1, 0.0)
+    assert substeps(0.0, 1.0) == (0, 0.0)
+
+
+@pytest.mark.parametrize("dt", [1.0, 1e-3, 2e-4])
+def test_substeps_take_no_step_over_a_round_off_span(dt):
+    # Output times may sit 1e-12 below the start (solver's output-time
+    # check); such a span, like one within 1e-9 dt above zero, lands
+    # without a step, while 1e-3 dt is a real interval.
+    for span in (0.0, 0.5e-9 * dt, 1e-9 * dt, -1e-12, -0.5e-9 * dt):
+        assert substeps(span, dt) == (0, 0.0)
+    assert substeps(1e-3 * dt, dt) == (1, 1e-3 * dt)
+    assert substeps(2e-9 * dt, dt) == (1, 2e-9 * dt)
 
 
 def test_substeps_ignore_round_off_above_a_whole_count():

@@ -165,6 +165,15 @@ def test_evolve_validation_and_blowup_guard():
     assert info.value.trajectory == [ps]
 
 
+@pytest.mark.parametrize("t_end", [0.0, 1e-13])
+def test_a_span_within_round_off_takes_no_step(t_end):
+    # The one row is the start state, its time pinned to t_end.
+    ps = PeakonState(0.0, [0.0, 2.0], [10.0, 1.0], [1.0], [1.0])
+    for start in (ps, PeakonState(0.0, [0.0], [10.0], [1.0], [1.0])):
+        path = evolve_peakon_path(start, t_end, 1e-3)
+        assert path.tolist() == [[t_end, *start.q, *start.m_amp, *start.r, *start.n_amp]]
+
+
 def _poison_from_call_41(monkeypatch, name):
     """Replace the rate function ``name`` by one that returns NaN rates from
     its 41st call, the first stage of step 11, on; returns the call log."""
@@ -364,23 +373,39 @@ WALTZ = PeakonState(0.0, [0.0], [10.0], [1.0], [1.0])
 TRAIN_3X2 = PeakonState(0.0, [-1.0, 0.0, 1.0], [1.0, 2.0, 1.0], [-0.5, 0.5], [1.0, 1.5])
 
 
-@pytest.mark.parametrize("ps, rising", [
-    (WALTZ, True), (PeakonState(0.0, [0.0], [2.0], [1.0], [-1.0]), False),
-], ids=["waltz", "opposite-signs"])
-def test_exp_moments_move_at_their_exact_rates(ps, rising):
+@pytest.mark.parametrize("ps, t_end, dt, rising", [
+    (WALTZ, 3.0, 1e-4, True), (PeakonState(0.0, [0.0], [2.0], [1.0], [-1.0]), 3.0, 1e-4, False),
+    (TRAIN_3X2, 2.0, 2e-4, True),
+], ids=["waltz", "opposite-signs", "train-3x2"])
+def test_exp_moments_move_at_their_exact_rates(ps, t_end, dt, rising):
     # E_+- = sum m_a e^{+-q_a} + sum n_b e^{+-r_b} change at dE_+/dt =
     # sum m_a n_b e^{min(q_a, r_b)} and dE_-/dt = -sum m_a n_b e^{-max(q_a, r_b)}:
     # with m and n of one sign E_+ rises and E_- falls, with opposite signs
-    # the reverse.  Neither pair collides before t = 3.  The five-point
-    # difference along the path reads the rates to 7.0e-12 to 1.5e-11 relative.
-    _, dt = substeps(3.0, 1e-4)
-    _, q, m, r, n = evolve_peakon_path(ps, 3.0, 1e-4).T
+    # the reverse.  Neither pair collides before t = 3; the train collides
+    # three times before t = 2, and a stencil across a sign change of any
+    # q_a - r_b, where the rate has a kink, is left out.  The five-point
+    # difference along the path reads the rates to 7.0e-12 to 1.5e-11
+    # relative for the pairs, and to 1.8e-12 (E_+) and 3.4e-12 (E_-) for the
+    # train, against 1.8e-5 with the 12 stencils across its collisions.
+    _, dt = substeps(t_end, dt)
+    path = evolve_peakon_path(ps, t_end, dt)
+    count, other = ps.q.size, ps.r.size
+    q, m = path[:, 1:1 + count], path[:, 1 + count:1 + 2 * count]
+    r, n = path[:, 1 + 2 * count:1 + 2 * count + other], path[:, 1 + 2 * count + other:]
+    sides = np.sign(q[:, :, None] - r[:, None, :])
+    flips = np.any(sides[1:] != sides[:-1], axis=(1, 2))
+    # The stencil centred on row i spans the four steps i - 2 ... i + 1.
+    smooth = ~np.convolve(flips, np.ones(4), mode="valid").astype(bool)
+    assert smooth.size == len(path) - 4 and smooth.mean() > 0.99
+    mid = slice(2, -2)
+    mn = m[mid, :, None] * n[mid, None, :]
     for side in (1.0, -1.0):
-        moment = m * np.exp(side * q) + n * np.exp(side * r)
+        moment = np.sum(m * np.exp(side * q), axis=1) + np.sum(n * np.exp(side * r), axis=1)
         rate = (moment[:-4] - 8.0 * moment[1:-3] + 8.0 * moment[3:-1] - moment[4:]) / (12.0 * dt)
-        mid = slice(2, -2)
-        exact = side * m[mid] * n[mid] * np.exp(np.minimum(side * q[mid], side * r[mid]))
-        assert np.max(np.abs(rate - exact) / np.abs(exact)) < 1e-10, side
+        exact = side * np.sum(mn * np.exp(np.minimum(side * q[mid, :, None],
+                                                     side * r[mid, None, :])), axis=(1, 2))
+        error = np.abs(rate - exact) / np.abs(exact)
+        assert np.max(error[smooth]) < 1e-10, side
         assert np.all(np.diff(moment) * side * (1.0 if rising else -1.0) > 0.0), side
 
 
@@ -648,6 +673,11 @@ def test_fields_on_a_grid():
     assert np.allclose(u.values, 2.0 * green_kernel_eval(g.nodes - 1.0, 30.0))
     assert np.all(v.values == 0.0)
     assert peakon_hamiltonian(ps) == 0.0  # no opposite family to couple to
+    both = PeakonState(0.0, [1.0], [2.0], [-1.0, 3.0], [0.5, -1.5])
+    u, v = peakon_fields(both, g)
+    assert np.allclose(u.values, 2.0 * green_kernel_eval(g.nodes - 1.0, 30.0))
+    assert np.allclose(v.values, 0.5 * green_kernel_eval(g.nodes + 1.0, 30.0)
+                       - 1.5 * green_kernel_eval(g.nodes - 3.0, 30.0))
     outside = PeakonState(0.0, [40.0], [1.0], [0.0], [1.0])
     with pytest.raises(DomainTooSmallError):
         peakon_fields(outside, g)

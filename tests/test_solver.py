@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cchlab import solver as solver_module
+from cchlab.characteristics import init_characteristics
 from cchlab.diagnostics import compute_record, settings_from_initial
 from cchlab.errors import BlowUpError, ConfigurationError, StabilityError
 from cchlab.grid import Field, make_grid
@@ -226,6 +227,8 @@ def test_real_form_validation():
         evolve_real_form(real, real, 1.0, -1e-3)
     with pytest.raises(ConfigurationError, match="dt must be positive and finite"):
         evolve_real_form(real, real, 1.0, 0.0)
+    with pytest.raises(ValueError, match="the pair must live on the same grid"):
+        evolve_real_form(real, Field(other, np.zeros(512)), 1.0, 1e-3)
 
 
 def test_real_form_march_matches_complex_march():
@@ -253,6 +256,30 @@ def test_zero_span_run_returns_single_snapshot(small_state):
     traj = evolve(small_state, 0.0, 1e-3)
     assert len(traj.states) == 1
     assert traj.states[0].t == 0.0
+
+
+def test_outputs_within_round_off_of_the_last_take_no_step(small_state):
+    # march.substeps gives a span within round-off of zero no step, so an
+    # output at the start, 1e-13 below it, or 1e-13 after the one before,
+    # snapshots the state as it stands, tracked flows included.
+    track = init_characteristics(small_state.grid, stride=8)
+    seen = []
+    traj = evolve(small_state, 0.01, 1e-3, output_times=[-1e-13, 0.01 - 1e-13, 0.01],
+                  track=track, callback=lambda s, cs: seen.append((s.t, cs.t)))
+    assert seen == [(-1e-13, -1e-13), (0.01 - 1e-13, 0.01 - 1e-13), (0.01, 0.01)]
+    first, cs = traj.states[0], traj.characteristics[0]
+    assert np.array_equal(first.m.values, small_state.m.values)
+    assert np.array_equal(first.n.values, small_state.n.values)
+    for name in ("labels", "phi", "xi", "phi_x", "xi_x"):
+        assert np.array_equal(getattr(cs, name), getattr(track, name)), name
+    assert np.array_equal(traj.states[2].m.values, traj.states[1].m.values)
+    assert np.array_equal(traj.characteristics[2].phi, traj.characteristics[1].phi)
+    for t0 in (0.0, 1e-13):
+        (t, a, b), _ = evolve_real_form(small_state.m, small_state.n, 0.01, 1e-3,
+                                        output_times=[t0, 0.01])
+        assert t == t0
+        assert np.array_equal(a.values, small_state.m.values)
+        assert np.array_equal(b.values, small_state.n.values)
 
 
 def test_momentum_sum_is_conserved_to_roundoff(small_state):
