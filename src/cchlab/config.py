@@ -35,7 +35,7 @@ from .characteristics import DEFAULT_LABEL_STRIDE
 from .diagnostics import DEFAULT_SUPPORT_FACTOR, DEFAULT_TAIL_TOLERANCE
 from .errors import ConfigurationError
 from .grid import Field, Grid, make_grid
-from .march import DEFAULT_BLOWUP_FACTOR
+from .march import DEFAULT_BLOWUP_FACTOR, substeps
 from .solver import partner
 
 __all__ = [
@@ -122,25 +122,18 @@ class ScenarioConfig:
             return
 
         if self.m0 is None and self.u0 is None:
-            raise ConfigurationError("missing initial condition: provide 'm0' or 'u0'")
+            targets = [f"'{key}'" for key in ("m0", "u0") if key not in _foreign_keys(self.kind)]
+            raise ConfigurationError(f"missing initial condition: provide {' or '.join(targets)}")
         if self.m0 is not None and self.u0 is not None:
             raise _key_error("u0", "conflicts with 'm0'; give one target")
         if self.n0 is not None and self.v0 is not None:
             raise _key_error("v0", "conflicts with 'n0'; give one target")
-        modes = ("complex_conjugate",) if self.kind == "complex" else PDE_MODES
+        modes = _KIND_MODES.get(self.kind, PDE_MODES)
         if self.mode not in modes:
             raise _key_error("mode", f"must be one of {modes}, got {self.mode!r}")
-        if self.kind == "complex":
-            for key in ("m0", "n0", "v0"):
-                if getattr(self, key) is not None:
-                    raise _key_error(key, "does not apply to kind=complex (the conjugate "
-                                          "pair is built from u0 and u0_im)")
-        else:
-            if self.u0_im is not None:
-                raise _key_error("u0_im", "applies only to kind=complex")
-            if self.mode == "ch_reduction" and (self.n0 is not None or self.v0 is not None):
-                raise _key_error("n0" if self.n0 is not None else "v0",
-                                 "mode=ch_reduction derives the pair from the m-side")
+        if self.mode == "ch_reduction" and (self.n0 is not None or self.v0 is not None):
+            raise _key_error("n0" if self.n0 is not None else "v0",
+                             "mode=ch_reduction derives the pair from the m-side")
         for key in ("m0", "n0", "u0", "v0", "u0_im"):
             if getattr(self, key) is not None:
                 _check_shapes_fit(_parse_shapes(getattr(self, key), key), key,
@@ -164,10 +157,15 @@ _PEAKON_ONLY = ("q", "m_amps", "r", "n_amps")
 _SHARED = ("kind", "out", "t_end", "dt", "blowup_threshold")
 _FIELD_ONLY = set(_KEY_TYPES).difference(_PEAKON_ONLY, _SHARED)
 # Keys that one kind alone uses, and every other kind refuses.
-_KIND_ONLY = {"peakon": _PEAKON_ONLY, "characteristics": ("label_stride",)}
+_KIND_ONLY = {"peakon": _PEAKON_ONLY, "characteristics": ("label_stride",),
+              "complex": ("u0_im",)}
+# Keys that a kind refuses though other kinds use them: a peakon run has no
+# field, and the complex kind builds its conjugate pair from u0 and u0_im.
+_KIND_REFUSES = {"peakon": _FIELD_ONLY, "complex": ("m0", "n0", "v0")}
 
-# Defaults that differ by kind, filled in by parse_config.
+# Defaults and modes that differ by kind; parse_config fills in the defaults.
 _KIND_DEFAULTS = {"peakon": {"t_end": 20.0}, "complex": {"mode": "complex_conjugate"}}
+_KIND_MODES = {"complex": ("complex_conjugate",)}
 
 # Distance within which a snapshot time names an output time.
 _SNAPSHOT_TOL = 1e-9
@@ -181,10 +179,10 @@ def _key_error(key: str, message: str) -> ConfigurationError:
 
 def _foreign_keys(kind: str) -> dict[str, str]:
     """Each key that ``kind`` does not use, with the message that refuses it."""
-    if kind == "peakon":
-        return dict.fromkeys(_FIELD_ONLY, "does not apply to kind=peakon")
-    return {key: f"applies only to kind={owner}"
-            for owner, keys in _KIND_ONLY.items() if owner != kind for key in keys}
+    foreign = {key: f"applies only to kind={owner}"
+               for owner, keys in _KIND_ONLY.items() if owner != kind for key in keys}
+    foreign.update(dict.fromkeys(_KIND_REFUSES.get(kind, ()), f"does not apply to kind={kind}"))
+    return foreign
 
 
 def _check_keys_apply(kind: str, keys) -> None:
@@ -251,18 +249,18 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def output_times(cfg: ScenarioConfig) -> list[float]:
-    """Times at which a field scenario records: 0, every output_every, and
-    t_end.  A list too long to allocate raises ConfigurationError naming its count."""
+    """Times at which a field scenario records: 0 and each whole output_every
+    below t_end, counted by ``march.substeps``, then t_end itself.  A list too
+    long to allocate raises ConfigurationError naming its count."""
     try:
-        times = np.arange(0.0, cfg.t_end + 1e-12, cfg.output_every).tolist()
+        count, _ = substeps(cfg.t_end, cfg.output_every)
+        times = (np.arange(count) * cfg.output_every).tolist()
     except (MemoryError, OverflowError, ValueError):  # too many, or infinitely many, times
         raise ConfigurationError(
             f"a time list of {cfg.t_end / cfg.output_every + 1:.6g} output times (t_end = "
             f"{cfg.t_end!r}, output_every = {cfg.output_every!r}) does not fit in memory"
         ) from None
-    if not times or abs(times[-1] - cfg.t_end) > 1e-12:
-        times.append(cfg.t_end)
-    return times
+    return times + [cfg.t_end]
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

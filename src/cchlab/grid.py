@@ -73,7 +73,7 @@ def _spectrum(forward, inverse, k: np.ndarray, mode_index: np.ndarray, n: int) -
     return Spectrum(forward, inverse, *tables)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
     """Equispaced periodic grid on the window [-half_length, half_length).
 
@@ -85,10 +85,10 @@ class Grid:
 
     half_length: float
     n_points: int
-    spacing: float = field(init=False)
-    nodes: np.ndarray = field(init=False, repr=False)
-    real_spectrum: Spectrum = field(init=False, repr=False)
-    complex_spectrum: Spectrum = field(init=False, repr=False)
+    spacing: float = field(init=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    real_spectrum: Spectrum = field(init=False, repr=False, compare=False)
+    complex_spectrum: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.n_points
@@ -119,16 +119,6 @@ class Grid:
             2.0 * np.pi * np.fft.rfftfreq(n, d=spacing), half_modes, n))
         object.__setattr__(self, "complex_spectrum", _spectrum(
             np.fft.fft, np.fft.ifft, k, mode_index, n))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.half_length == other.half_length
-            and self.n_points == other.n_points
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.half_length, self.n_points))
 
     # Array-level spectral operations along the last axis; Field-level
     # wrappers live below.

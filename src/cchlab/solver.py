@@ -213,23 +213,19 @@ def _step(core: _Core, spec: np.ndarray, dt: float, threshold: float,
     return spec, rows, stages
 
 
-def step_rk4(state: PdeState, dt: float, *, blowup_threshold: Optional[float] = None) -> PdeState:
+def step_rk4(state: PdeState, dt: float, *,
+             blowup_factor: float = DEFAULT_BLOWUP_FACTOR) -> PdeState:
     """Advance one RK4 step of size dt (negative dt steps backward).
 
     The advective stability guard requires |dt| <= 0.5 * spacing / max
-    speed.  If the stepped momenta exceed the blow-up threshold (default
-    DEFAULT_BLOWUP_FACTOR times the current magnitude scale, see
-    ``march.blowup_limit``), BlowUpError is raised carrying the input state
-    as the last valid one.  A given threshold must be positive (inf sets no
-    limit); a NaN or non-positive one raises ConfigurationError.
+    speed.  If the stepped momenta exceed the blow-up threshold
+    ``march.blowup_limit(blowup_factor, m, n)`` of the input state,
+    BlowUpError is raised carrying the input state as the last valid one.
     """
     if dt == 0.0 or not np.isfinite(dt):
         raise ConfigurationError(f"dt must be finite and nonzero, got {dt!r}")
     core = _Core.of(state)
-    threshold = (blowup_threshold if blowup_threshold is not None
-                 else blowup_limit(DEFAULT_BLOWUP_FACTOR, state.m.values, state.n.values))
-    if not threshold > 0.0:
-        raise ConfigurationError(f"blowup_threshold must be positive, got {threshold!r}")
+    threshold = blowup_limit(blowup_factor, state.m.values, state.n.values)
     try:
         _, rows, _ = _step(core, core.spectral(state), dt, threshold, state.t + dt)
     except BlowUpError as err:

@@ -165,6 +165,11 @@ _REJECTIONS = [
      "line 2: key 'mode' must be one of ('complex_conjugate',)"),
     ("kind = complex\nm0 = bump(0, 8, 1)\n",
      "line 2: key 'm0' does not apply to kind=complex"),
+    # The key tables refuse a complex run's m0 before the one-target rule sees u0.
+    ("kind = complex\nu0 = bump(0, 8, 1)\nm0 = bump(0, 3, 1)\n",
+     "line 3: key 'm0' does not apply to kind=complex"),
+    ("kind = complex\n", "missing initial condition: provide 'u0'"),
+    ("kind = characteristics\n", "missing initial condition: provide 'm0' or 'u0'"),
     ("kind = pde\nm0 = bump(27, 6, 1)\n",
      "line 2: key 'm0' has bump support [21.0, 33.0] crossing the window edge"),
     ("kind = pde\nm0 = gaussian(35, 1, 1)\n",
@@ -258,6 +263,17 @@ def test_parse_float_list():
     assert parse_float_list("") == []
     with pytest.raises(ConfigurationError):
         parse_float_list("1;2")
+
+
+@pytest.mark.parametrize("t_end, every, count", [
+    # k * every lands off t_end by round-off: the last entry is t_end itself.
+    (0.3, 0.1, 3), (0.7, 0.1, 7), (1.2, 0.1, 12), (0.7, 0.01, 70),
+    # k * every lands on t_end, or t_end is no whole number of steps.
+    (1.0, 0.1, 10), (1.0, 0.05, 20), (0.0, 0.1, 0), (1.05, 0.1, 11),
+])
+def test_output_times_are_the_whole_steps_below_t_end_then_t_end(t_end, every, count):
+    cfg = ScenarioConfig(kind="pde", m0="bump(0, 3, 1)", t_end=t_end, output_every=every)
+    assert output_times(cfg) == [k * every for k in range(count)] + [t_end]
 
 
 # ------------------------------------------------- initial conditions
@@ -407,6 +423,27 @@ def test_zero_horizon_emits_single_snapshot(tmp_path):
     assert main(["run", path]) == 0
     _, rows = read_rows(tmp_path / "zero.csv")
     assert len(rows) == 1 and float(rows[0][0]) == 0.0
+
+
+def test_a_run_records_its_last_row_and_fields_at_t_end(tmp_path):
+    # 3 * 0.1 is 0.30000000000000004; the last output time is t_end itself.
+    path = write_cfg(tmp_path, PDE_TEXT + "t_end = 0.3\noutput_every = 0.1\n"
+                                          "snapshot_times = 0.3\nout = end.csv\n")
+    assert main(["run", path]) == 0
+    _, rows = read_rows(tmp_path / "end.csv")
+    assert [row[0] for row in rows] == ["0.0", "0.1", "0.2", "0.3"]
+    _, fields = read_rows(tmp_path / "end_fields.csv")
+    assert len(fields) == 2048 and {row[0] for row in fields} == {"0.3"}
+
+
+def test_complex_kind_refuses_m0_n0_and_v0_in_sweep(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CCCH_THREADS", "1")
+    path = write_cfg(tmp_path, "kind = complex\nu0 = bump(0, 8, 1)\nt_end = 0.01\n"
+                               "out = c.csv\n")
+    for key in ("m0", "n0", "v0"):
+        assert main(["sweep", path, "--vary", f"{key}=0:1:2"]) == 1
+        assert capsys.readouterr().err == f"error: key '{key}' does not apply to kind=complex\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_characteristics_kind_tracks_pullback_and_dumps_fields(tmp_path):

@@ -83,7 +83,7 @@ def test_zero_state_is_a_fixed_point():
 
 def test_blowup_guard_carries_last_state(small_state):
     with pytest.raises(BlowUpError) as info:
-        step_rk4(small_state, 1e-3, blowup_threshold=1e-9)
+        step_rk4(small_state, 1e-3, blowup_factor=1e-9)
     assert info.value.state is small_state
 
     with pytest.raises(BlowUpError) as info:
@@ -94,19 +94,19 @@ def test_blowup_guard_carries_last_state(small_state):
 
 @pytest.mark.parametrize("limit", [float("nan"), 0.0, -1.0])
 def test_a_nan_or_non_positive_blowup_limit_is_refused(small_state, limit):
-    with pytest.raises(ConfigurationError, match="blowup_threshold"):
-        step_rk4(small_state, 1e-3, blowup_threshold=limit)
+    with pytest.raises(ConfigurationError, match="blow-up factor"):
+        step_rk4(small_state, 1e-3, blowup_factor=limit)
     with pytest.raises(ConfigurationError, match="blow-up factor"):
         evolve(small_state, 0.1, 1e-3, blowup_factor=limit)
     # No limit at all is still allowed.
-    assert step_rk4(small_state, 1e-3, blowup_threshold=float("inf")).t == 1e-3
+    assert step_rk4(small_state, 1e-3, blowup_factor=float("inf")).t == 1e-3
 
 
 def test_blowup_messages_give_full_digits_and_name_a_non_finite_state(small_state,
                                                                      monkeypatch):
     with pytest.raises(BlowUpError, match=r"^momentum magnitude \S+ exceeded the blow-up "
                                           r"threshold 1e-09 at t = 0\.001$"):
-        step_rk4(small_state, 1e-3, blowup_threshold=1e-9)
+        step_rk4(small_state, 1e-3, blowup_factor=1e-9)
     monkeypatch.setattr(solver_module, "rk4_step", lambda rate, y, dt: y * np.nan)
     with pytest.raises(BlowUpError, match=r"^non-finite momentum at t = 0\.001$"):
         step_rk4(small_state, 1e-3)
