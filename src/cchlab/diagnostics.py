@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import inf
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "zero_integral_check",
     "compute_record",
     "CSV_COLUMNS",
+    "record_header",
     "record_row",
 ]
 
@@ -91,26 +92,28 @@ class DiagnosticsRecord:
     pullback_residual: Optional[float] = None
 
 
-CSV_COLUMNS = (
-    "t", "H", "P",
-    "Eu_plus", "Eu_minus", "Ev_plus", "Ev_minus", "E_plus", "E_minus",
-    "supp_m_lo", "supp_m_hi", "supp_u_lo", "supp_u_hi",
-    "tail_slope_left", "tail_slope_right",
-    "max_abs", "boundary_contamination",
-)
+# The CSV table is the record's fields in order, pullback_residual (the last)
+# in tracked runs only, under one rule: an interval field <name> is written as
+# <name>_lo and <name>_hi, both empty when unmeasured.
+_HINTS = get_type_hints(DiagnosticsRecord)
+_TABLE = tuple((f.name, _HINTS[f.name] == Optional[tuple[float, float]])
+               for f in fields(DiagnosticsRecord))
+
+
+def record_header(with_pullback: bool) -> list[str]:
+    """The column names of record_row, in field order."""
+    return [col for name, pair in _TABLE[:len(_TABLE) - (not with_pullback)]
+            for col in ((f"{name}_lo", f"{name}_hi") if pair else (name,))]
+
+
+CSV_COLUMNS = tuple(record_header(False))
 
 
 def record_row(rec: DiagnosticsRecord, with_pullback: bool) -> list[Optional[float]]:
-    """The record's CSV_COLUMNS values (plus pullback_residual when asked),
-    with None for an unmeasured support."""
-    supp_m = rec.supp_m or (None, None)
-    supp_u = rec.supp_u or (None, None)
-    row = [rec.t, rec.H, rec.P, rec.Eu_plus, rec.Eu_minus, rec.Ev_plus, rec.Ev_minus,
-           rec.E_plus, rec.E_minus, *supp_m, *supp_u,
-           rec.tail_slope_left, rec.tail_slope_right, rec.max_abs, rec.boundary_contamination]
-    if with_pullback:
-        row.append(rec.pullback_residual)
-    return [None if x is None else float(x) for x in row]
+    """The record's cells under record_header(with_pullback), None if unmeasured."""
+    cells = ((getattr(rec, name) or (None, None)) if pair else (getattr(rec, name),)
+             for name, pair in _TABLE[:len(_TABLE) - (not with_pullback)])
+    return [None if x is None else float(x) for cell in cells for x in cell]
 
 
 @dataclass(frozen=True)
@@ -398,12 +401,8 @@ def compute_record(
         except MeasurementError:
             pass
 
-    residual: Optional[float] = None
-    if cs is not None:
-        residual = max(
-            pullback_residual(m, cs, m0, flow="m", t=state.t),
-            pullback_residual(n, cs, n0, flow="n", t=state.t),
-        )
+    residual = None if cs is None else max(pullback_residual(m, cs, m0, flow="m", t=state.t),
+                                           pullback_residual(n, cs, n0, flow="n", t=state.t))
 
     return DiagnosticsRecord(
         t=state.t,

@@ -315,15 +315,15 @@ _BLOCK_ROWS = 1024  # rows the pair march writes into its path at once
 
 def _pair_path(path: np.ndarray, dt: float, sign: float, threshold: float) -> None:
     """Fill rows 1 on of a one-pair path (t, q, m, r, n) by steps of dt from
-    row 0 under its pair sign, with evolve_peakon_path's checks:
-    _train_step bit for bit.
+    row 0 under its pair sign, row k at t0 + k dt, with evolve_peakon_path's
+    checks: _train_step bit for bit.
 
     Each step is rk4_step unrolled over Python floats, at _pair_rates; a
     step that crosses, or has sign 0, is taken by _train_step instead.  A
     BlowUpError writes the rows before the failed step first.
     """
     t, q, m, r, n = path[0].tolist()
-    h, w = 0.5 * dt, dt / 6.0
+    t0, h, w = t, 0.5 * dt, dt / 6.0
     for start in range(1, len(path), _BLOCK_ROWS):
         rows = []
         for k in range(start, min(start + _BLOCK_ROWS, len(path))):
@@ -337,7 +337,7 @@ def _pair_path(path: np.ndarray, dt: float, sign: float, threshold: float) -> No
             if (y[0] - y[2]) * sign < 0.0 or not sign:
                 nxt, signs = _train_step(t, np.array((q, m, r, n)), np.array([[sign]]), dt, 1)
                 y, sign = nxt.tolist(), float(signs[0, 0])
-            t = t + dt
+            t = t0 + k * dt
             q, m, r, n = y
             if (not (isfinite(q) and isfinite(m) and isfinite(r) and isfinite(n))
                     or abs(m) > threshold or abs(n) > threshold):
@@ -354,8 +354,9 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
 
     Row k is (t, q..., m_amp..., r..., n_amp...) after k steps, row 0 the
     start, so the path has shape (steps + 1, 1 + 2M + 2N).  The steps are
-    the ``march.substeps`` of t_end - t (none within round-off of zero), and
-    the last row's time is t_end exactly.  The march holds the state as one
+    the ``march.substeps`` of t_end - t0 (none within round-off of zero);
+    row k is stamped t0 + k dt_eff, as solver.evolve stamps its steps, and
+    the last row t_end exactly.  The march holds the state as one
     flat array (_train_step) and carries each step's pair signs into the
     next, cut at collisions, so the path keeps fourth order through
     amplitude exchanges.  One peakon per family is marched by _pair_path,
@@ -372,7 +373,7 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
         raise ConfigurationError(f"t_end must be >= start time {ps.t}, got {t_end}")
     threshold = blowup_limit(blowup_factor, ps.m_amp, ps.n_amp)
     count = ps.q.size
-    t, y = ps.t, _flat(ps)
+    t0, y = ps.t, _flat(ps)
     try:
         n_steps, dt_eff = substeps(t_end - ps.t, dt)
         path = np.empty((n_steps + 1, 1 + y.size))
@@ -380,14 +381,14 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
         raise ConfigurationError(
             f"a path of {(t_end - ps.t) / dt + 1:.6g} samples (t_end = {t_end!r}, "
             f"dt = {dt!r}) does not fit in memory") from None
-    path[0, 0], path[0, 1:] = t, y
+    path[0, 0], path[0, 1:] = t0, y
     signs = _start_signs(y, count)
     if y.size == 4 and count == 1:
         _pair_path(path, dt_eff, float(signs[0, 0]), threshold)
     else:
         for k in range(n_steps):
-            y, signs = _train_step(t, y, signs, dt_eff, count)
-            t = t + dt_eff
+            y, signs = _train_step(t0 + k * dt_eff, y, signs, dt_eff, count)
+            t = t0 + (k + 1) * dt_eff
             if (fault := _step_fault(path[:k + 1], count, t, y.tolist(), threshold)) is not None:
                 raise fault
             path[k + 1, 0], path[k + 1, 1:] = t, y

@@ -158,8 +158,8 @@ def _run_field_scenario(cfg: ScenarioConfig) -> RunResult:
         status = 4
         summary.append(f"UNSTABLE: {err}")
 
-    header = list(diag.CSV_COLUMNS) + (["pullback_residual"] if with_pullback else [])
-    _write_csv(cfg.out, header, (diag.record_row(rec, with_pullback) for rec in records))
+    _write_csv(cfg.out, diag.record_header(with_pullback),
+               (diag.record_row(rec, with_pullback) for rec in records))
     _write_field_snapshots(_fields_path(cfg.out), field_snaps)
 
     if records:

@@ -817,9 +817,10 @@ def test_record_csv_is_the_records_byte_for_byte(tmp_path, text):
         writer.writerow(list(CSV_COLUMNS) + (["pullback_residual"] if tracked else []))
         for rec in records:
             supp_m = rec.supp_m or (None, None)
+            supp_n = rec.supp_n or (None, None)
             supp_u = rec.supp_u or (None, None)
             values = [rec.t, rec.H, rec.P, rec.Eu_plus, rec.Eu_minus, rec.Ev_plus,
-                      rec.Ev_minus, rec.E_plus, rec.E_minus, *supp_m, *supp_u,
+                      rec.Ev_minus, rec.E_plus, rec.E_minus, *supp_m, *supp_n, *supp_u,
                       rec.tail_slope_left, rec.tail_slope_right, rec.max_abs,
                       rec.boundary_contamination]
             if tracked:
@@ -827,8 +828,8 @@ def test_record_csv_is_the_records_byte_for_byte(tmp_path, text):
             writer.writerow(["" if x is None else repr(float(x)) for x in values])
     written = (tmp_path / "rec.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
-    if not tracked:  # unmeasured supports are empty cells, unfitted slopes nan
-        assert b",,,,nan,nan," in written
+    if not tracked:  # three unmeasured supports are six empty cells, unfitted slopes nan
+        assert b"0.0,,,,,,,nan,nan," in written
 
 
 def test_the_csv_writer_writes_what_csv_writer_writes(tmp_path):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from cchlab.diagnostics import (CSV_COLUMNS, DEFAULT_SUPPORT_FACTOR,
                                 DiagnosticsSettings, boundary_contamination,
                                 compute_record, energy_H, exp_moments,
                                 momentum_P, moment_rate_check,
-                                quadrature_noise_floor, settings_from_initial,
+                                quadrature_noise_floor, record_header,
+                                record_row, settings_from_initial,
                                 support_measure, tail_slope,
                                 zero_integral_check)
 from cchlab.errors import DomainTooSmallError, MeasurementError
@@ -265,11 +268,11 @@ def test_compute_record_populates_every_column(grid_standard):
     assert rec.pullback_residual is None
     assert rec.E_plus == pytest.approx(rec.Eu_plus + rec.Ev_plus)
     _assert_record_matches_public_functions(rec, st)
-    assert len(CSV_COLUMNS) == 17
+    assert len(CSV_COLUMNS) == 19
     assert CSV_COLUMNS == (
         "t", "H", "P",
         "Eu_plus", "Eu_minus", "Ev_plus", "Ev_minus", "E_plus", "E_minus",
-        "supp_m_lo", "supp_m_hi", "supp_u_lo", "supp_u_hi",
+        "supp_m_lo", "supp_m_hi", "supp_n_lo", "supp_n_hi", "supp_u_lo", "supp_u_hi",
         "tail_slope_left", "tail_slope_right",
         "max_abs", "boundary_contamination",
     )
@@ -278,6 +281,32 @@ def test_compute_record_populates_every_column(grid_standard):
     rec2 = compute_record(st, settings, cs=cs, m0=m, n0=n)
     assert rec2.pullback_residual == 0.0
     assert dataclasses.asdict(rec)["H"] == rec.H  # records are plain data
+
+
+def test_readme_schema_block_names_the_csv_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"### CSV schema\n.*?```\n(.*?)```", readme, re.S).group(1)
+    assert tuple(block.replace(",", " ").split()) == CSV_COLUMNS
+
+
+def test_record_row_pairs_each_cell_with_its_header_column(grid_standard):
+    # An unmeasured support is two empty cells; the tracked table adds the
+    # pullback defect, the record's last field, as its last column.
+    g = grid_standard
+    m = Field(g, bump_values(g.nodes, -2.0, 3.0, 1.0))
+    st = PdeState(0.0, m, Field(g, np.zeros(g.n_points)))
+    rec = compute_record(st, settings_from_initial(st), cs=init_characteristics(g), m0=m,
+                         n0=st.n)
+    assert rec.supp_n is None and rec.supp_m is not None
+    for tracked in (False, True):
+        cells = dict(zip(record_header(tracked), record_row(rec, tracked)))
+        assert len(cells) == len(record_header(tracked)) == len(record_row(rec, tracked))
+        assert (cells["supp_m_lo"], cells["supp_m_hi"]) == rec.supp_m
+        assert cells["supp_n_lo"] is None and cells["supp_n_hi"] is None
+        assert cells["t"] == rec.t
+        assert cells["boundary_contamination"] == rec.boundary_contamination
+    assert record_header(True) == [*CSV_COLUMNS, "pullback_residual"]
+    assert record_row(rec, True)[-1] == rec.pullback_residual == 0.0
 
 
 @pytest.mark.parametrize("given", [(), ("m0",), ("n0",)])

@@ -419,6 +419,9 @@ def test_path_rows_are_the_listed_states_bit_for_bit(ps, t_end):
     path = evolve_peakon_path(ps, t_end, 1e-2)
     traj = evolve_peakons(ps, t_end, 1e-2)
     assert path.shape == (len(traj), 1 + 2 * ps.q.size + 2 * ps.r.size)
+    # One clock for every march: row k at t0 + k dt_eff, the last at t_end.
+    n_steps, dt_eff = substeps(t_end - ps.t, 1e-2)
+    assert path[:-1, 0].tolist() == [ps.t + k * dt_eff for k in range(n_steps)]
     assert path[-1, 0] == t_end
     for row, s in zip(path, traj):
         assert row[0] == s.t
@@ -434,7 +437,7 @@ def _array_pair_path(ps, t_end, dt, blowup_factor=1e6):
     t, signs, rows = ps.t, peakons_module._start_signs(y, 1), [(ps.t, *y)]
     for k in range(n_steps):
         y, signs = peakons_module._train_step(t, y, signs, dt_eff, count=1)
-        t = t + dt_eff
+        t = ps.t + (k + 1) * dt_eff
         peak = max(abs(y[1]), abs(y[3]))
         if peak > threshold:
             return np.array(rows), (f"peakon amplitude {float(peak)!r} exceeded the blow-up "

@@ -13,6 +13,8 @@ so that two trees can be compared, summaries included, with
 
     diff -r --brief OUT_A OUT_B
 
+or column by column, by name, with ``tools/compare_outputs.py OUT_A OUT_B``.
+
 The configs are used as they are; only their ``out`` path is chosen here.
 OUT_DIR must be new or empty: a file left there by an earlier run would
 survive and hide a file that this tree no longer writes.  Exits 1 if
