@@ -102,7 +102,7 @@ _TABLE = tuple((f.name, _HINTS[f.name] == Optional[tuple[float, float]])
 
 def record_header(with_pullback: bool) -> list[str]:
     """The column names of record_row, in field order."""
-    return [col for name, pair in _TABLE[:len(_TABLE) - (not with_pullback)]
+    return [col for name, pair in _TABLE[:None if with_pullback else -1]
             for col in ((f"{name}_lo", f"{name}_hi") if pair else (name,))]
 
 
@@ -112,7 +112,7 @@ CSV_COLUMNS = tuple(record_header(False))
 def record_row(rec: DiagnosticsRecord, with_pullback: bool) -> list[Optional[float]]:
     """The record's cells under record_header(with_pullback), None if unmeasured."""
     cells = ((getattr(rec, name) or (None, None)) if pair else (getattr(rec, name),)
-             for name, pair in _TABLE[:len(_TABLE) - (not with_pullback)])
+             for name, pair in _TABLE[:None if with_pullback else -1])
     return [None if x is None else float(x) for cell in cells for x in cell]
 
 

@@ -354,8 +354,8 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
 
     Row k is (t, q..., m_amp..., r..., n_amp...) after k steps, row 0 the
     start, so the path has shape (steps + 1, 1 + 2M + 2N).  The steps are
-    the ``march.substeps`` of t_end - t0 (none within round-off of zero);
-    row k is stamped t0 + k dt_eff, as solver.evolve stamps its steps, and
+    the ``march.substeps`` of t_end - ps.t (none within round-off of zero);
+    row k is stamped ps.t + k dt_eff, as solver.evolve stamps its steps, and
     the last row t_end exactly.  The march holds the state as one
     flat array (_train_step) and carries each step's pair signs into the
     next, cut at collisions, so the path keeps fourth order through
@@ -373,7 +373,7 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
         raise ConfigurationError(f"t_end must be >= start time {ps.t}, got {t_end}")
     threshold = blowup_limit(blowup_factor, ps.m_amp, ps.n_amp)
     count = ps.q.size
-    t0, y = ps.t, _flat(ps)
+    t, y = ps.t, _flat(ps)
     try:
         n_steps, dt_eff = substeps(t_end - ps.t, dt)
         path = np.empty((n_steps + 1, 1 + y.size))
@@ -381,14 +381,14 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
         raise ConfigurationError(
             f"a path of {(t_end - ps.t) / dt + 1:.6g} samples (t_end = {t_end!r}, "
             f"dt = {dt!r}) does not fit in memory") from None
-    path[0, 0], path[0, 1:] = t0, y
+    path[0, 0], path[0, 1:] = t, y
     signs = _start_signs(y, count)
     if y.size == 4 and count == 1:
         _pair_path(path, dt_eff, float(signs[0, 0]), threshold)
     else:
         for k in range(n_steps):
-            y, signs = _train_step(t0 + k * dt_eff, y, signs, dt_eff, count)
-            t = t0 + (k + 1) * dt_eff
+            y, signs = _train_step(t, y, signs, dt_eff, count)
+            t = ps.t + (k + 1) * dt_eff
             if (fault := _step_fault(path[:k + 1], count, t, y.tolist(), threshold)) is not None:
                 raise fault
             path[k + 1, 0], path[k + 1, 1:] = t, y
