@@ -8,9 +8,9 @@ transport: ``phi`` follows the velocity v and carries the momentum m
     d(phi)/dt = v(phi(t), t),       d(log phi_x)/dt = v_x(phi(t), t),
 
 so a march carries the positions and log-Jacobians of both flows as one
-array (``CharacteristicSet.flows``), which keeps the Jacobians positive, and
-builds a set, exponentiating them, only at output times.  The transported
-momentum satisfies the exact pullback identity
+array, which keeps the Jacobians positive; a ``CharacteristicSet`` is that
+array over its labels at one time.  The transported momentum satisfies the
+exact pullback identity
 m(phi(x, t), t) * phi_x(x, t)^2 = m0(x), which pullback_residual measures;
 support_bounds maps initial support endpoints forward to bound the support
 of the evolved momentum.
@@ -39,46 +39,30 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class CharacteristicSet:
-    """Positions and Jacobians of both flows above a set of labels.
-
-    labels are the initial positions; phi/xi the current positions of the
-    m-carrying and n-carrying flows; phi_x/xi_x the (positive) Jacobians.
+    """Both flows above a set of labels (initial positions): the (2, 2 * labels)
+    array a march carries, positions (phi's, then xi's) in row 0 and their
+    log-Jacobians in row 1, stored read-only.  phi and xi are views of row 0;
+    the Jacobians phi_x and xi_x are exp of row 1, so never negative.
     """
 
     t: float
     labels: np.ndarray
-    phi: np.ndarray
-    xi: np.ndarray
-    phi_x: np.ndarray
-    xi_x: np.ndarray
+    flows: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("labels", "phi", "xi", "phi_x", "xi_x"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1 or arr.shape != np.shape(self.labels):
-                raise ValueError("all characteristic arrays must share one 1-d shape")
+        labels, flows = (np.array(a, dtype=np.float64) for a in (self.labels, self.flows))
+        if labels.ndim != 1 or np.any(np.diff(labels) <= 0):
+            raise ValueError("labels must be 1-d and strictly increasing")
+        if flows.shape != (2, 2 * labels.size):
+            raise ValueError(f"flows must have shape (2, {2 * labels.size}), got {flows.shape}")
+        for name, arr in (("labels", labels), ("flows", flows)):
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if np.any(np.diff(self.labels) <= 0):
-            raise ValueError("labels must be strictly increasing")
-        if np.any(self.phi_x <= 0) or np.any(self.xi_x <= 0):
-            raise ValueError("flow Jacobians must be positive")
 
-    @classmethod
-    def from_flows(cls, t: float, labels: np.ndarray, flows: np.ndarray) -> "CharacteristicSet":
-        """The set at time t over ``labels`` from a flows array (see ``flows``).
-
-        exp of a very negative log-Jacobian underflows to 0, which the
-        constructor rejects.
-        """
-        count = labels.size
-        pos, jac = flows[0], np.exp(flows[1])
-        return cls(float(t), labels, pos[:count], pos[count:], jac[:count], jac[count:])
-
-    def flows(self) -> np.ndarray:
-        """The (2, 2 * labels) array a march carries: the positions, phi's
-        then xi's, in row 0 and their log-Jacobians in row 1."""
-        return np.array((np.concatenate((self.phi, self.xi)),
-                         np.log(np.concatenate((self.phi_x, self.xi_x)))))
+    phi = property(lambda self: self.flows[0, :self.labels.size])
+    xi = property(lambda self: self.flows[0, self.labels.size:])
+    phi_x = property(lambda self: np.exp(self.flows[1, :self.labels.size]))
+    xi_x = property(lambda self: np.exp(self.flows[1, self.labels.size:]))
 
 
 DEFAULT_LABEL_STRIDE = 4
@@ -89,9 +73,9 @@ def init_characteristics(g: Grid, t: float = 0.0,
     """Identity flows labelled at every ``stride``-th grid node."""
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    labels = g.nodes[::stride].copy()
-    ones = np.ones_like(labels)
-    return CharacteristicSet(float(t), labels, labels.copy(), labels.copy(), ones, ones.copy())
+    labels = g.nodes[::stride]
+    return CharacteristicSet(float(t), labels,
+                             (np.tile(labels, 2), np.zeros(2 * labels.size)))
 
 
 def advance_with_stages(
@@ -158,8 +142,8 @@ def advect(cs: CharacteristicSet, u: Field, v: Field, dt: float) -> Characterist
     g = u.grid
     frozen = np.array((u.values, g.deriv(u.values), v.values, g.deriv(v.values)))
     t = cs.t + dt
-    return CharacteristicSet.from_flows(
-        t, cs.labels, advance_with_stages(cs.flows(), g, [frozen] * 4, dt, t))
+    return CharacteristicSet(
+        t, cs.labels, advance_with_stages(cs.flows, g, [frozen] * 4, dt, t))
 
 
 def pullback_residual(

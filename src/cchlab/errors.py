@@ -29,7 +29,8 @@ class BlowUpError(RuntimeError):
     (``trajectory``, may be None for a single step).  Its form is the
     raiser's: a ``solver.Trajectory`` from ``solver.evolve``, a list of
     states from ``evolve_peakons``, or a path array, one row per sample,
-    from ``evolve_peakon_path``.
+    from ``evolve_peakon_path``.  ``solver.evolve`` keeps no snapshot that it
+    streams to a callback, so a streamed run's Trajectory is empty.
     """
 
     def __init__(self, message: str, state=None, trajectory=None):

@@ -105,20 +105,25 @@ class Grid:
                 f"half_length must be positive and finite, got {self.half_length!r}"
             )
         spacing = 2.0 * length / n
-        nodes = -length + spacing * np.arange(n)
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-        mode_index = np.rint(np.fft.fftfreq(n) * n).astype(int)
+        try:
+            nodes = -length + spacing * np.arange(n)
+            k = 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
+            mode_index = np.rint(np.fft.fftfreq(n) * n).astype(int)
+            real_spectrum = _spectrum(
+                np.fft.rfft, partial(np.fft.irfft, n=n),
+                2.0 * np.pi * np.fft.rfftfreq(n, d=spacing), np.arange(n // 2 + 1), n)
+            complex_spectrum = _spectrum(np.fft.fft, np.fft.ifft, k, mode_index, n)
+        except MemoryError:
+            raise ConfigurationError(
+                f"n_points = {n}: the grid's nodes and tables do not fit in memory"
+            ) from None
+        nodes.setflags(write=False)
         object.__setattr__(self, "half_length", length)
         object.__setattr__(self, "n_points", n)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "nodes", nodes)
-        self.nodes.setflags(write=False)
-        half_modes = np.arange(n // 2 + 1)
-        object.__setattr__(self, "real_spectrum", _spectrum(
-            np.fft.rfft, partial(np.fft.irfft, n=n),
-            2.0 * np.pi * np.fft.rfftfreq(n, d=spacing), half_modes, n))
-        object.__setattr__(self, "complex_spectrum", _spectrum(
-            np.fft.fft, np.fft.ifft, k, mode_index, n))
+        object.__setattr__(self, "real_spectrum", real_spectrum)
+        object.__setattr__(self, "complex_spectrum", complex_spectrum)
 
     # Array-level spectral operations along the last axis; Field-level
     # wrappers live below.

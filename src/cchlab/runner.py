@@ -8,8 +8,8 @@ advective stability bound during the march).  A blow-up, invalid
 measurement or instability met during a march still writes the output
 completed so far.  A config has checked its values when built; a run can
 still meet an output file it cannot write (check_outputs, as check does),
-or a time list or peakon path too long to allocate: status 1 and one
-CONFIG ERROR line, before any output.
+or a grid, time list or peakon path too large to allocate: status 1 and
+one CONFIG ERROR line, before any output.
 """
 
 from __future__ import annotations

@@ -314,12 +314,14 @@ def evolve(
     its ``march.substeps`` (none within round-off of zero), so snapshots land
     exactly on the requested times.  When ``track`` is given (real data
     only), its flows are advanced inside the same RK4 stages as the momenta,
-    and a set built from them accompanies every state snapshot.  ``callback``
-    is invoked as callback(state, characteristics) at every snapshot.
+    and a set over them accompanies every state snapshot.  Each snapshot is
+    handed to ``callback`` as callback(state, characteristics) when one is
+    given, and kept in the returned Trajectory otherwise, never both: a
+    streamed run keeps no snapshots and returns an empty Trajectory.
 
     The blow-up threshold is frozen from the initial data as
     blowup_factor * max(1, max|m0|, max|n0|); exceeding it raises
-    BlowUpError carrying the partial Trajectory.
+    BlowUpError carrying the partial Trajectory (empty when streamed).
     """
     check_dt(dt)
     g = state.grid
@@ -331,18 +333,18 @@ def evolve(
         if state.m.is_complex or state.n.is_complex:
             raise ValueError("characteristic tracking needs real data")
 
-    snapshots: list[PdeState] = []
-    cs_snaps: Optional[list[CharacteristicSet]] = [] if track is not None else None
-    cs = track
-    flows = track.flows() if track is not None else None
+    trajectory = Trajectory([], [] if track is not None and callback is None else None)
+    flows = track.flows if track is not None else None
     core = _Core.of(state)
 
-    def emit(s: PdeState) -> None:
-        snapshots.append(s)
-        if cs_snaps is not None:
-            cs_snaps.append(cs)
+    def keep(s: PdeState, cs: Optional[CharacteristicSet]) -> None:
+        """A snapshot goes to the callback, or else into the trajectory."""
         if callback is not None:
             callback(s, cs)
+        else:
+            trajectory.states.append(s)
+            if cs is not None:
+                trajectory.characteristics.append(cs)
 
     rows = core.rows(state)
     spec = core.sp.forward(rows)
@@ -358,16 +360,12 @@ def evolve(
                 if flows is not None:
                     flows = advance_with_stages(flows, g, stages, dt_eff, t_rows)
             t_rows = target
-            if flows is not None:
-                cs = CharacteristicSet.from_flows(target, track.labels, flows)
-            emit(core.state(rows, target))
+            keep(core.state(rows, target),
+                 None if flows is None else CharacteristicSet(target, track.labels, flows))
     except BlowUpError as err:
-        raise BlowUpError(
-            str(err),
-            state=core.state(rows, t_rows),
-            trajectory=Trajectory(snapshots, cs_snaps),
-        ) from None
-    return Trajectory(snapshots, cs_snaps)
+        raise BlowUpError(str(err), state=core.state(rows, t_rows),
+                          trajectory=trajectory) from None
+    return trajectory
 
 
 def evolve_real_form(

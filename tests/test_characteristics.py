@@ -40,37 +40,47 @@ def test_initial_flows_are_the_identity(grid_small):
 
 def test_set_validation():
     labels = np.array([0.0, 1.0, 2.0])
-    ones = np.ones(3)
-    with pytest.raises(ValueError):
-        CharacteristicSet(0.0, labels[::-1], labels, labels, ones, ones)
-    with pytest.raises(ValueError):
-        CharacteristicSet(0.0, labels, labels, labels, -ones, ones)
-    with pytest.raises(ValueError):
-        CharacteristicSet(0.0, labels, labels[:2], labels, ones, ones)
+    flows = np.array((np.tile(labels, 2), np.zeros(6)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        CharacteristicSet(0.0, labels[::-1], flows)
+    with pytest.raises(ValueError, match="1-d"):
+        CharacteristicSet(0.0, labels[None], flows)
+    with pytest.raises(ValueError, match="shape"):
+        CharacteristicSet(0.0, labels, flows[:, :4])
+    with pytest.raises(ValueError, match="shape"):
+        CharacteristicSet(0.0, labels, flows[0])
 
 
 def test_flows_round_trip_through_a_set(grid_small):
+    # A set is the flows array over its labels: phi and xi are row 0's
+    # halves and the Jacobians exp of row 1's, bit for bit, and the array
+    # is a read-only copy of the one handed in.
     cs = init_characteristics(grid_small, stride=8)
-    flows = cs.flows()
-    assert flows.shape == (2, 2 * cs.labels.size)
-    assert np.array_equal(flows[0], np.concatenate((cs.phi, cs.xi)))
-    assert np.all(flows[1] == 0.0)
-    back = CharacteristicSet.from_flows(0.5, cs.labels, flows)
+    rng = np.random.default_rng(0)
+    flows = cs.flows + rng.uniform(-1e-3, 1e-3, cs.flows.shape)
+    count = cs.labels.size
+    back = CharacteristicSet(0.5, cs.labels, flows)
     assert back.t == 0.5
-    for name in ("labels", "phi", "xi", "phi_x", "xi_x"):
-        assert np.array_equal(getattr(back, name), getattr(cs, name))
+    assert back.flows is not flows and np.array_equal(back.flows, flows)
+    assert not back.flows.flags.writeable and not back.labels.flags.writeable
+    assert np.array_equal(back.phi, flows[0, :count])
+    assert np.array_equal(back.xi, flows[0, count:])
+    assert np.array_equal(back.phi_x, np.exp(flows[1])[:count])
+    assert np.array_equal(back.xi_x, np.exp(flows[1])[count:])
 
 
 def test_underflowed_jacobian_is_rejected(grid_small):
-    # A log-Jacobian of -1000 is a valid flow, but exp underflows it to 0,
-    # which no set may hold.
+    # A log-Jacobian of -1000 is a valid flow; a set holds it, reads its
+    # Jacobian as exp(-1000) = 0.0, and the pullback defect stays finite.
     cs = init_characteristics(grid_small)
     zero = np.zeros(grid_small.n_points)
     stage = np.array((zero, zero, zero, np.full(grid_small.n_points, -1e6)))  # (u, u_x, v, v_x)
-    flows = advance_with_stages(cs.flows(), grid_small, [stage] * 4, 1e-3, 1e-3)
+    flows = advance_with_stages(cs.flows, grid_small, [stage] * 4, 1e-3, 1e-3)
     assert np.allclose(flows[1, :cs.labels.size], -1000.0)
-    with pytest.raises(ValueError, match="Jacobians must be positive"):
-        CharacteristicSet.from_flows(1e-3, cs.labels, flows)
+    crushed = CharacteristicSet(1e-3, cs.labels, flows)
+    assert np.all(crushed.phi_x == 0.0) and np.all(crushed.xi_x == 1.0)
+    f = Field(grid_small, bump_values(grid_small.nodes, 0.0, 5.0, 1.0))
+    assert np.isfinite(pullback_residual(f, crushed, f, flow="m"))
 
 
 @pytest.mark.parametrize("mode, phi_rows", [(COUPLED, (2, 3)), (CH_REDUCTION, (0, 1))])
@@ -86,7 +96,7 @@ def test_stage_gather_is_row_interpolation_bit_for_bit(mode, phi_rows):
     _, _, stages = _step(core, core.spectral(state), 1e-3, np.inf, 1e-3)
     if mode == CH_REDUCTION:
         assert all(np.array_equal(w[:2], w[2:]) for w in stages)
-    flows = init_characteristics(g, stride=4).flows()
+    flows = init_characteristics(g, stride=4).flows
     count = flows.shape[1] // 2
     w_row, wx_row = phi_rows
     records = iter(stages)
@@ -177,9 +187,10 @@ def test_pullback_of_unevolved_data_vanishes(grid_small):
 def test_pullback_applies_the_squared_jacobian(grid_small):
     g = grid_small
     f = Field(g, bump_values(g.nodes, 0.0, 5.0, 1.0))
-    labels = g.nodes[::4].copy()
-    doubled = CharacteristicSet(0.0, labels, labels.copy(), labels.copy(),
-                                np.full_like(labels, 2.0), np.ones_like(labels))
+    labels = g.nodes[::4]
+    doubled = CharacteristicSet(0.0, labels, (
+        np.tile(labels, 2),
+        np.concatenate((np.full_like(labels, np.log(2.0)), np.zeros_like(labels)))))
     quadrupled = Field(g, 4.0 * f.values)
     assert pullback_residual(f, doubled, quadrupled, flow="m") < 1e-14
 

@@ -964,6 +964,22 @@ def test_a_time_list_too_long_for_memory_exits_1_without_allocating_it(tmp_path,
     assert not (tmp_path / "long.csv").exists()
 
 
+def test_a_grid_too_large_for_memory_exits_1_without_allocating_it(tmp_path, monkeypatch):
+    # 2**50 nodes are 8 PiB a table: the allocation fails at once, before any
+    # memory is committed, and the run reports it in one line.
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config("kind = pde\nn_points = 1125899906842624\nm0 = bump(-2, 3, 1)\n"
+                       "t_end = 0.1\nout = big.csv\n")
+    assert cfg.n_points == 2**50
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    result = execute(cfg)
+    assert result.status == 1
+    assert len(result.summary) == 1, result.summary
+    assert result.summary[0].startswith("CONFIG ERROR: n_points = 1125899906842624")
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak_kb < 100_000
+    assert not (tmp_path / "big.csv").exists()
+
+
 def test_console_script_is_installed(tmp_path):
     """The declared ``cchlab`` script resolves to the CLI's ``main``, and that
     CLI, run as its own process, validates a config.  Runs from the source

@@ -21,7 +21,7 @@ from cchlab.diagnostics import (CSV_COLUMNS, DEFAULT_SUPPORT_FACTOR,
                                 zero_integral_check)
 from cchlab.errors import DomainTooSmallError, MeasurementError
 from cchlab.grid import Field, green_kernel_eval, make_grid
-from cchlab.solver import COMPLEX_CONJUGATE, PdeState, recover_velocity
+from cchlab.solver import COMPLEX_CONJUGATE, PdeState, evolve, recover_velocity
 
 from conftest import bump_values
 
@@ -184,6 +184,45 @@ def test_noise_floor_positive_and_linear_in_amplitude(grid_standard,
     # Each field enters on its own: the floor of a pair is the larger of the two.
     assert quadrature_noise_floor(m, doubled) == quadrature_noise_floor(doubled, m) == (
         quadrature_noise_floor(doubled, doubled))
+
+
+def _cumulative_trapezoid(g, f):
+    """∫ from -L to each node of f, by the trapezoid rule."""
+    out = np.zeros_like(f)
+    out[1:] = np.cumsum(0.5 * (f[1:] + f[:-1])) * g.spacing
+    return out
+
+
+def test_moment_rates_follow_the_closed_form_law(grid_standard):
+    # The moment law: dE_+/dt = ∫∫ m(x) n(y) e^{min(x,y)} dx dy and
+    # dE_-/dt = -∫∫ m(x) n(y) e^{-max(x,y)} dx dy, each in one O(N) pass:
+    # the inner integral over y splits at x into two cumulative sums.  On
+    # test_01's pair at t = 0.5 it matches moment_rate_check's trapezoid and
+    # a five-point difference of the record's E±, and m, n >= 0 predict
+    # that E_+ rises and E_- falls.
+    g = grid_standard
+    x = g.nodes
+    state0 = PdeState(0.0, Field(g, bump_values(x, -2.0, 3.0, 1.0)),
+                      Field(g, bump_values(x, 2.0, 3.0, 1.0)))
+    settings = settings_from_initial(state0)
+    h = 1e-3
+    traj = evolve(state0, 0.5 + 2 * h, 1e-3, [0.5 + k * h for k in (-2, -1, 0, 1, 2)])
+    mid = traj.states[2]
+    m, n = mid.m.values, mid.n.values
+    n_below = _cumulative_trapezoid(g, n)
+    n_plus_below = _cumulative_trapezoid(g, n * np.exp(x))
+    n_minus_below = _cumulative_trapezoid(g, n * np.exp(-x))
+    rate_plus = np.trapezoid(m * (n_plus_below + np.exp(x) * (n_below[-1] - n_below)),
+                             dx=g.spacing)
+    rate_minus = -np.trapezoid(m * (np.exp(-x) * n_below + n_minus_below[-1] - n_minus_below),
+                               dx=g.spacing)
+    assert rate_plus > 0.0 > rate_minus
+    assert max(moment_rate_check(*recover_velocity(mid), rate_plus, rate_minus)) < 1e-5
+    e = np.array([(r.E_plus, r.E_minus)
+                  for r in (compute_record(s, settings) for s in traj.states)])
+    fd_plus, fd_minus = (e[0] - 8.0 * e[1] + 8.0 * e[3] - e[4]) / (12.0 * h)
+    assert abs(fd_plus - rate_plus) < 1e-5 * rate_plus
+    assert abs(fd_minus - rate_minus) < 1e-5 * -rate_minus
 
 
 # ----------------------------------------------------------- tail slopes

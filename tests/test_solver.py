@@ -11,9 +11,11 @@ import pytest
 
 from cchlab import solver as solver_module
 from cchlab.characteristics import init_characteristics
+from cchlab.config import build_grid, build_initial_condition, parse_config
 from cchlab.diagnostics import compute_record, settings_from_initial
 from cchlab.errors import BlowUpError, ConfigurationError, StabilityError
 from cchlab.grid import Field, make_grid
+from cchlab.peakons import PeakonState, evolve_peakon_path
 from cchlab.solver import (CH_REDUCTION, COMPLEX_CONJUGATE, COUPLED, PdeState,
                            evolve, evolve_real_form, recover_velocity,
                            rhs_complex_real_form, rhs_momentum, step_rk4)
@@ -261,16 +263,21 @@ def test_zero_span_run_returns_single_snapshot(small_state):
 def test_outputs_within_round_off_of_the_last_take_no_step(small_state):
     # march.substeps gives a span within round-off of zero no step, so an
     # output at the start, 1e-13 below it, or 1e-13 after the one before,
-    # snapshots the state as it stands, tracked flows included.
+    # snapshots the state as it stands, tracked flows included.  A streamed
+    # run sees every snapshot and keeps none; a plain run keeps them all.
     track = init_characteristics(small_state.grid, stride=8)
+    times = [-1e-13, 0.01 - 1e-13, 0.01]
     seen = []
-    traj = evolve(small_state, 0.01, 1e-3, output_times=[-1e-13, 0.01 - 1e-13, 0.01],
-                  track=track, callback=lambda s, cs: seen.append((s.t, cs.t)))
-    assert seen == [(-1e-13, -1e-13), (0.01 - 1e-13, 0.01 - 1e-13), (0.01, 0.01)]
+    streamed = evolve(small_state, 0.01, 1e-3, output_times=times, track=track,
+                      callback=lambda s, cs: seen.append((s.t, cs.t)))
+    assert seen == [(t, t) for t in times]
+    assert streamed.states == [] and streamed.characteristics is None
+    traj = evolve(small_state, 0.01, 1e-3, output_times=times, track=track)
+    assert traj.times == [cs.t for cs in traj.characteristics] == times
     first, cs = traj.states[0], traj.characteristics[0]
     assert np.array_equal(first.m.values, small_state.m.values)
     assert np.array_equal(first.n.values, small_state.n.values)
-    for name in ("labels", "phi", "xi", "phi_x", "xi_x"):
+    for name in ("labels", "flows", "phi", "xi", "phi_x", "xi_x"):
         assert np.array_equal(getattr(cs, name), getattr(track, name)), name
     assert np.array_equal(traj.states[2].m.values, traj.states[1].m.values)
     assert np.array_equal(traj.characteristics[2].phi, traj.characteristics[1].phi)
@@ -280,6 +287,24 @@ def test_outputs_within_round_off_of_the_last_take_no_step(small_state):
         assert t == t0
         assert np.array_equal(a.values, small_state.m.values)
         assert np.array_equal(b.values, small_state.n.values)
+
+
+def test_a_streamed_run_keeps_no_snapshot(small_state):
+    # With a callback every snapshot goes to it alone: the returned
+    # Trajectory, and the one a BlowUpError carries, hold none.
+    track = init_characteristics(small_state.grid, stride=8)
+    seen = []
+    traj = evolve(small_state, 0.02, 1e-3, output_times=[0.0, 0.01, 0.02], track=track,
+                  callback=lambda s, cs: seen.append((s, cs)))
+    assert [s.t for s, _ in seen] == [cs.t for _, cs in seen] == [0.0, 0.01, 0.02]
+    assert traj.states == [] and traj.characteristics is None
+    seen.clear()
+    with pytest.raises(BlowUpError) as info:
+        evolve(small_state, 0.1, 1e-3, blowup_factor=1e-9,
+               callback=lambda s, cs: seen.append(s))
+    assert [s.t for s in seen] == [0.0]
+    assert info.value.trajectory.states == []
+    assert info.value.trajectory.characteristics is None
 
 
 def test_momentum_sum_is_conserved_to_roundoff(small_state):
@@ -321,3 +346,31 @@ def test_disjoint_compact_velocities_are_a_steady_state():
     for state in traj.states:
         record = compute_record(state, settings)
         assert abs(record.E_plus) <= 3.6e-6 and abs(record.E_minus) <= 3.6e-6
+
+
+def test_a_mollified_pair_converges_to_the_peakon_ode_at_second_order():
+    # Point momenta are weak solutions of the PDE, so mollified peakons of
+    # width eps follow the peakon ODE as eps -> 0.  The pair m1 = 2 at 0,
+    # n1 = 1 at 0.5 on [-15, 15), against evolve_peakon_path at dt = 1e-4:
+    # the PDE minus the ODE at t = 1 in the mass of m and the centroids of
+    # m and n, measured at (-5.99e-3, -1.01e-3, 7.34e-4) for eps = 0.1 and
+    # (-1.52e-3, -2.41e-4, 1.78e-4) for eps = 0.05.  The gates are a quarter
+    # above those values, and halving eps divides each gap by 3.9-4.2.
+    _, q, m_amp, r, n_amp = evolve_peakon_path(
+        PeakonState(0.0, [0.0], [2.0], [0.5], [1.0]), 1.0, 1e-4)[-1]
+    gaps = {}
+    for eps, n_points, dt in ((0.1, 2048, 2e-3), (0.05, 4096, 1e-3)):
+        cfg = parse_config(f"kind = pde\nhalf_length = 15\nn_points = {n_points}\n"
+                           f"m0 = mollified_peakon(0, 2, {eps})\n"
+                           f"n0 = mollified_peakon(0.5, 1, {eps})\n")
+        g = build_grid(cfg)
+        end = evolve(PdeState(0.0, *build_initial_condition(cfg, g)), 1.0, dt, [1.0]).states[-1]
+        mass_m, mass_n = (float(np.sum(f.values)) * g.spacing for f in (end.m, end.n))
+        centre_m = float(np.sum(g.nodes * end.m.values)) * g.spacing / mass_m
+        centre_n = float(np.sum(g.nodes * end.n.values)) * g.spacing / mass_n
+        gaps[eps] = np.array((mass_m - m_amp, centre_m - q, centre_n - r))
+        assert mass_m + mass_n == pytest.approx(m_amp + n_amp, abs=1e-12)
+    assert np.all(np.abs(gaps[0.1]) <= 1.25 * np.array((5.99e-3, 1.01e-3, 7.34e-4)))
+    assert np.all(np.abs(gaps[0.05]) <= 1.25 * np.array((1.52e-3, 2.41e-4, 1.78e-4)))
+    ratios = gaps[0.1] / gaps[0.05]
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
