@@ -7,7 +7,8 @@ Verbs:
     check <config>                       validate a config without running
 
 Every verb's config passes the checks of check; sweep rejects an invalid
-point, or points sharing an output file, before it runs any.
+point, or points sharing an output file, before it runs any.  check does
+not size a run, since what fits in memory depends on the host running it.
 
 Exit codes are listed in the README and in ``cchlab.runner``; a config that
 cannot be read or parsed exits 1.  The environment variable CCCH_THREADS, an

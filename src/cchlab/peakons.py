@@ -66,11 +66,13 @@ period 2 W / h is the closed form above (W / |P| = sqrt(1 - w*)).
 
 The march
 ---------
-A state is marched as one flat array (q, m_amp, r, n_amp) with RK4 from
-``cchlab.march``, the rates as matrix products over the M x N pairs.  One
-peakon per family is marched in one loop over four Python floats, the RK4
-stages unrolled: bit for bit the array march, at a fraction of its cost
-per step, which on 1x1 arrays is nearly all NumPy call overhead.
+A state is one path row (t, q..., m_amp..., r..., n_amp...), and the list
+forms are views of the path.  The march steps the flat state (q, m_amp, r,
+n_amp) with RK4 from ``cchlab.march``, the rates as matrix products over
+the M x N pairs.  One peakon per family is marched in one loop over four
+Python floats, the RK4 stages unrolled: bit for bit the array march, at a
+fraction of its cost per step, which on 1x1 arrays is nearly all NumPy
+call overhead.
 
 The kernel slope jumps at each collision q_a = r_b.  Each pair carries
 its sign s of q_a - r_b, and a step takes the slope -s K of that side.  A
@@ -119,28 +121,33 @@ def kernel_derivative(x):
     return -np.sign(x) * 0.5 * np.exp(-np.abs(x))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PeakonState:
-    """Positions and amplitudes of the two point-momentum families at time t."""
+    """Both families at time t as ``row``, a read-only path row that the
+    constructor copies its inputs into, and ``count``, the number of m-peakons."""
 
-    t: float
-    q: np.ndarray
-    m_amp: np.ndarray
-    r: np.ndarray
-    n_amp: np.ndarray
+    row: np.ndarray
+    count: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, t: float, q, m_amp, r, n_amp) -> None:
         names = ("q", "m_amp", "r", "n_amp")
-        arrays = [np.array(getattr(self, name), dtype=np.float64, ndmin=1) for name in names]
+        arrays = [np.array(a, dtype=np.float64, ndmin=1, copy=None) for a in (q, m_amp, r, n_amp)]
         for name, arr in zip(names, arrays):
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional")
-            object.__setattr__(self, name, arr)
-        if not np.isfinite(np.concatenate(arrays)).all():
+        row = np.concatenate(([t], *arrays), dtype=np.float64)
+        if not np.isfinite(row[1:]).all():
             name = next(n for n, a in zip(names, arrays) if not np.isfinite(a).all())
             raise FloatingPointError(f"{name} must be finite")
-        if self.q.shape != self.m_amp.shape or self.r.shape != self.n_amp.shape:
+        if arrays[0].shape != arrays[1].shape or arrays[2].shape != arrays[3].shape:
             raise ValueError("positions and amplitudes must pair up within each family")
+        row.flags.writeable = False
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "count", arrays[0].size)
+
+    t = property(lambda self: float(self.row[0]))
+    q, m_amp, r, n_amp = (property(lambda self, i=i: _families(self.row[1:], self.count)[i])
+                          for i in range(4))
 
 
 @dataclass(frozen=True)
@@ -191,23 +198,20 @@ def _pair_rates(q: float, m_amp: float, r: float, n_amp: float,
             k * m_amp + 0.0, n_amp * (kp * m_amp + 0.0))
 
 
-def _flat(ps: PeakonState) -> np.ndarray:
-    return np.concatenate((ps.q, ps.m_amp, ps.r, ps.n_amp))
-
-
 def peakon_rhs(ps: PeakonState) -> PeakonRates:
     """Canonical equations: positions move with the other family's velocity,
     amplitudes stretch with minus its slope."""
-    count, y = ps.q.size, _flat(ps)
+    count, y = ps.count, ps.row[1:]
     return PeakonRates(*_families(_rates(y, count, _pair_signs(y, count)), count))
 
 
 def peakon_hamiltonian(ps: PeakonState) -> float:
     """h = sum_{a,b} m_a n_b K(q_a - r_b); conserved along the flow."""
-    if ps.q.size == 0 or ps.r.size == 0:
-        return 0.0
-    kmat = kernel(ps.q[:, None] - ps.r[None, :])
-    return float(ps.m_amp @ kmat @ ps.n_amp)
+    # Four views of the row in the formula's shapes: on one pair, each further view costs 3-8%.
+    count, row = ps.count, ps.row
+    mid = (row.size + 1) // 2 + count  # r is row[1 + 2 count:mid], n_amp row[mid:]
+    kmat = kernel(row[1:1 + count, None] - row[None, 1 + 2 * count:mid])
+    return float(row[1 + count:1 + 2 * count] @ kmat @ row[mid:])
 
 
 def peakon_fields(ps: PeakonState, g: Grid) -> tuple[Field, Field]:
@@ -216,17 +220,16 @@ def peakon_fields(ps: PeakonState, g: Grid) -> tuple[Field, Field]:
     u = sum_a m_a p_L(x - q_a) and v = sum_b n_b p_L(x - r_b).  All
     positions must lie inside the window.
     """
-    for name, pos in (("q", ps.q), ("r", ps.r)):
+    q, m_amp, r, n_amp = _families(ps.row[1:], ps.count)
+    for name, pos in (("q", q), ("r", r)):
         if pos.size and float(np.max(np.abs(pos))) >= g.half_length:
             raise DomainTooSmallError(
                 f"peakon position in {name} outside the window (L = {g.half_length})"
             )
-    u = np.zeros(g.n_points)
-    for qa, ma in zip(ps.q, ps.m_amp):
-        u += ma * green_kernel_eval(g.nodes - qa, g.half_length)
-    v = np.zeros(g.n_points)
-    for rb, nb in zip(ps.r, ps.n_amp):
-        v += nb * green_kernel_eval(g.nodes - rb, g.half_length)
+    u, v = np.zeros(g.n_points), np.zeros(g.n_points)
+    for field, positions, amps in ((u, q, m_amp), (v, r, n_amp)):
+        for x, a in zip(positions, amps):
+            field += a * green_kernel_eval(g.nodes - x, g.half_length)
     return Field(g, u), Field(g, v)
 
 
@@ -278,19 +281,18 @@ def _train_step(t: float, y: np.ndarray, signs: np.ndarray, dt: float,
     return nxt, signs if signs.all() else np.where(signs == 0.0, _pair_signs(nxt, count), signs)
 
 
-def _checked_state(row: np.ndarray, count: int) -> PeakonState:
-    """The path row (t, flat state) as a PeakonState of views into the row.
-
-    Sets the frozen fields directly and skips ``__post_init__``: the march
-    has checked every value of the row finite, the row is one-dimensional
-    float64, and _families pairs the shapes up by construction.  The row
-    must be one that nothing writes to again, such as a row of a finished
-    path.
-    """
-    ps = object.__new__(PeakonState)
-    q, m_amp, r, n_amp = _families(row[1:], count)
-    ps.__dict__.update(t=float(row[0]), q=q, m_amp=m_amp, r=r, n_amp=n_amp)
-    return ps
+def _path_states(rows: np.ndarray, count: int) -> list[PeakonState]:
+    """PeakonStates over the rows of ``rows``, a view of a checked path with
+    ``count`` m-peakons, which is made read-only; the rows are not copied
+    and not checked again."""
+    rows.flags.writeable = False  # the view only: the path itself stays writable
+    states = []
+    for row in rows:
+        ps = object.__new__(PeakonState)
+        object.__setattr__(ps, "row", row)
+        object.__setattr__(ps, "count", count)
+        states.append(ps)
+    return states
 
 
 def _step_fault(done: np.ndarray, count: int, t: float, values: list[float],
@@ -307,7 +309,7 @@ def _step_fault(done: np.ndarray, count: int, t: float, values: list[float],
                    f"{threshold!r} at t = {t:.6g}")
     else:
         message = f"non-finite peakon state at t = {t:.6g}"
-    return BlowUpError(message, state=_checked_state(done[-1], count), trajectory=done)
+    return BlowUpError(message, state=_path_states(done[-1:], count)[0], trajectory=done)
 
 
 _BLOCK_ROWS = 1024  # rows the pair march writes into its path at once
@@ -369,26 +371,25 @@ def evolve_peakon_path(ps: PeakonState, t_end: float, dt: float, *,
     raise ConfigurationError.
     """
     check_dt(dt)
-    if not t_end >= ps.t:  # NaN included
-        raise ConfigurationError(f"t_end must be >= start time {ps.t}, got {t_end}")
+    count, t0, y = ps.count, ps.t, ps.row[1:]
+    if not t_end >= t0:  # NaN included
+        raise ConfigurationError(f"t_end must be >= start time {t0}, got {t_end}")
     threshold = blowup_limit(blowup_factor, ps.m_amp, ps.n_amp)
-    count = ps.q.size
-    t, y = ps.t, _flat(ps)
     try:
-        n_steps, dt_eff = substeps(t_end - ps.t, dt)
-        path = np.empty((n_steps + 1, 1 + y.size))
+        n_steps, dt_eff = substeps(t_end - t0, dt)
+        path = np.empty((n_steps + 1, ps.row.size))
     except (MemoryError, OverflowError, ValueError):  # too many, or infinitely many, rows
         raise ConfigurationError(
-            f"a path of {(t_end - ps.t) / dt + 1:.6g} samples (t_end = {t_end!r}, "
+            f"a path of {(t_end - t0) / dt + 1:.6g} samples (t_end = {t_end!r}, "
             f"dt = {dt!r}) does not fit in memory") from None
-    path[0, 0], path[0, 1:] = t, y
+    path[0], t = ps.row, t0
     signs = _start_signs(y, count)
     if y.size == 4 and count == 1:
         _pair_path(path, dt_eff, float(signs[0, 0]), threshold)
     else:
         for k in range(n_steps):
             y, signs = _train_step(t, y, signs, dt_eff, count)
-            t = ps.t + (k + 1) * dt_eff
+            t = t0 + (k + 1) * dt_eff
             if (fault := _step_fault(path[:k + 1], count, t, y.tolist(), threshold)) is not None:
                 raise fault
             path[k + 1, 0], path[k + 1, 1:] = t, y
@@ -401,17 +402,16 @@ def evolve_peakons(ps: PeakonState, t_end: float, dt: float, *,
     """Fixed-step RK4 march; returns ``ps`` and the state after every step.
 
     The list form of evolve_peakon_path, with the same steps, checks and
-    errors: each later state is a view of one path row.  A BlowUpError
-    carries the states before the failed step as its ``trajectory`` and the
-    last of them as its ``state``.
+    errors: each later state is a read-only view of one path row.  A
+    BlowUpError carries the states before the failed step as its
+    ``trajectory`` and the last of them as its ``state``.
     """
-    count = ps.q.size
     try:
         path = evolve_peakon_path(ps, t_end, dt, blowup_factor=blowup_factor)
     except BlowUpError as err:
-        traj = [ps] + [_checked_state(row, count) for row in err.trajectory[1:]]
+        traj = [ps] + _path_states(err.trajectory[1:], ps.count)
         raise BlowUpError(str(err), state=traj[-1], trajectory=traj) from None
-    return [ps] + [_checked_state(row, count) for row in path[1:]]
+    return [ps] + _path_states(path[1:], ps.count)
 
 
 def peakon_path_invariants(path: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -564,12 +564,10 @@ def measure_waltz_path(path: np.ndarray) -> tuple[float, float]:
 def measure_waltz(traj: list[PeakonState]) -> tuple[float, float]:
     """(period, swap_error) of a waltzing single pair from a dense trajectory.
 
-    The list form of measure_waltz_path: the states are stacked into a
-    path, one row per state.  Trajectories shorter than one full orbit
-    raise MeasurementError; states with other than one peakon per family
-    raise ValueError.
+    The list form of measure_waltz_path, on the states' rows stacked.
+    Trajectories shorter than one full orbit raise MeasurementError; states
+    with other than one peakon per family raise ValueError.
     """
-    if traj and (traj[0].q.size != 1 or traj[0].r.size != 1):
+    if traj and (traj[0].count != 1 or traj[0].row.size != 5):
         raise ValueError("waltz measurement needs exactly one peakon per family")
-    rows = ((s.t, s.q[0], s.m_amp[0], s.r[0], s.n_amp[0]) for s in traj)
-    return measure_waltz_path(np.fromiter(rows, dtype=(np.float64, 5), count=len(traj)))
+    return measure_waltz_path(np.stack([s.row for s in traj]) if traj else np.empty((0, 5)))

@@ -204,7 +204,7 @@ def _run_peakon_scenario(cfg: ScenarioConfig) -> RunResult:
         status = 2
         summary.append(f"BLOW-UP: {err}")
 
-    m_count, n_count = ps.q.size, ps.r.size
+    m_count, n_count = ps.count, (ps.row.size - 1) // 2 - ps.count
     hams, totals = pk.peakon_path_invariants(path, m_count)
     header = (["t", "hamiltonian", "amp_total"]
               + [f"q_{a}" for a in range(m_count)] + [f"m_amp_{a}" for a in range(m_count)]

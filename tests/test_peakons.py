@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -426,6 +428,52 @@ def test_path_rows_are_the_listed_states_bit_for_bit(ps, t_end):
     for row, s in zip(path, traj):
         assert row[0] == s.t
         assert row[1:].tobytes() == np.concatenate((s.q, s.m_amp, s.r, s.n_amp)).tobytes()
+
+
+def test_a_state_is_one_read_only_row():
+    ps = PeakonState(0.5, [0.0, 1.0], [2.0, 3.0], [5.0], [1.0])
+    assert [f.name for f in dataclasses.fields(PeakonState)] == ["row", "count"]
+    assert ps.row.dtype == np.float64 and ps.row.tolist() == [0.5, 0.0, 1.0, 2.0, 3.0, 5.0, 1.0]
+    assert ps.count == 2 and type(ps.t) is float and ps.t == 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        ps.row[0] = 9.0
+    for got, want in ((ps.q, [0.0, 1.0]), (ps.m_amp, [2.0, 3.0]), (ps.r, [5.0]), (ps.n_amp, [1.0])):
+        assert got.tolist() == want and got.base is ps.row
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 9.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ps.count = 1
+
+
+@pytest.mark.parametrize("ps", [WALTZ, TRAIN_3X2], ids=["pair", "train-3x2"])
+def test_listed_states_are_views_of_one_path(ps):
+    traj = evolve_peakons(ps, 0.5, 1e-2)
+    path = traj[1].row.base
+    assert path.shape == (len(traj), ps.row.size)
+    count, mid = ps.count, (ps.row.size + 1) // 2 + ps.count
+    for k, s in enumerate(traj[1:], 1):
+        assert s.row.base is path and np.shares_memory(s.row, path[k]) and s.count == count
+        assert not s.row.flags.writeable
+        # The public constructor, given the row's values, reads the same state.
+        row = path[k].copy()
+        built = PeakonState(row[0], row[1:1 + count], row[1 + count:1 + 2 * count],
+                            row[1 + 2 * count:mid], row[mid:])
+        assert built.row.tobytes() == s.row.tobytes() and built.count == count
+        assert built.t == s.t and peakon_hamiltonian(built) == peakon_hamiltonian(s)
+        for a, b in zip((built.q, built.m_amp, built.r, built.n_amp), (s.q, s.m_amp, s.r, s.n_amp)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_a_blowup_lists_views_of_its_partial_path():
+    with pytest.raises(BlowUpError) as info:
+        evolve_peakons(PeakonState(0.0, [0.0], [2.0], [1.0], [-1.0]), 5.0, 1e-3,
+                       blowup_factor=1.2)
+    traj = info.value.trajectory
+    assert len(traj) == 1088 and info.value.state is traj[-1]
+    path = traj[1].row.base  # the march's whole allocation, rows past the fault unwritten
+    for k, s in enumerate(traj[1:], 1):
+        assert s.row.base is path and np.shares_memory(s.row, path[k])
+        assert not s.row.flags.writeable
 
 
 def _array_pair_path(ps, t_end, dt, blowup_factor=1e6):
